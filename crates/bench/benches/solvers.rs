@@ -612,189 +612,6 @@ fn emit_snapshot() {
             storm.fingerprint(),
             t_storm,
         ));
-
-        // The cross-epoch incremental probe (`scenario_incremental`): the
-        // steady-state preset — an opening flash of horizon-lived slices,
-        // then pure no-churn revalidation epochs — run warm (persistent
-        // EpochSolver) and from scratch. The steady window is isolated by
-        // subtracting a settle-length prefix run (prefix stability
-        // asserted), giving the headline O(churn) observables: per-epoch
-        // pivot reduction, zero steady-state refactorizations (identity
-        // basis remap keeps the persisted factorization), bit-identical
-        // decision fingerprints, and worker-count invariance of the warm
-        // run itself. `check_bench_snapshot.py` gates all four.
-        const SETTLE: usize = 16;
-        let full = ovnes_scenario::presets::incremental_steady();
-        let mut settle = full.clone();
-        settle.horizon_epochs = SETTLE;
-        // Observability rides along on this probe: spans record the warm
-        // run (and stay hot through the scratch and worker-count re-runs,
-        // so the bit-identity asserts below double as the
-        // tracing-never-perturbs oracle), and the folded totals give the
-        // span-derived per-phase share of the epoch loop.
-        ovnes_obs::set_enabled(true);
-        let _ = ovnes_obs::trace::drain();
-        let t0 = Instant::now();
-        let warm_full = ovnes_scenario::run_scenario(&full).expect("incremental probe");
-        let t_warm = t0.elapsed().as_secs_f64();
-        let warm_trace = ovnes_obs::trace::drain();
-        let scenario_ns = warm_trace.total_ns("scenario");
-        let span_coverage = scenario_ns as f64 / (t_warm * 1e9).max(1.0);
-        let phase_share = |phase: &str| {
-            warm_trace.total_ns(&format!("scenario;epoch;{phase}")) as f64
-                / scenario_ns.max(1) as f64
-        };
-        let warm_settle = ovnes_scenario::run_scenario(&settle).expect("incremental settle");
-        let scratch = |spec: &ovnes_scenario::ScenarioSpec| {
-            let mut twin = spec.clone();
-            twin.incremental = false;
-            twin
-        };
-        let t0 = Instant::now();
-        let cold_full = ovnes_scenario::run_scenario(&scratch(&full)).expect("scratch probe");
-        let t_cold = t0.elapsed().as_secs_f64();
-        let cold_settle = ovnes_scenario::run_scenario(&scratch(&settle)).expect("scratch settle");
-        for i in 0..SETTLE {
-            assert_eq!(
-                warm_full.revenue_trajectory[i].to_bits(),
-                warm_settle.revenue_trajectory[i].to_bits(),
-                "incremental probe: horizon prefix unstable at epoch {i}"
-            );
-        }
-        let decision_match = warm_full.decision_fingerprint() == cold_full.decision_fingerprint();
-        assert!(
-            decision_match,
-            "incremental decisions diverged from scratch"
-        );
-        let worker_invariant = [2usize, 4].iter().all(|&threads| {
-            let mut spec = full.clone();
-            spec.threads = threads;
-            let par = ovnes_scenario::run_scenario(&spec).expect("incremental workers");
-            par.fingerprint() == warm_full.fingerprint()
-        });
-        assert!(worker_invariant, "incremental run diverged across workers");
-        ovnes_obs::set_enabled(false);
-        let _ = ovnes_obs::trace::drain();
-        let _ = ovnes_obs::metrics::drain_global();
-        let steady_epochs = full.horizon_epochs - SETTLE;
-        let steady_warm_pivots = warm_full.lp_pivots - warm_settle.lp_pivots;
-        let steady_cold_pivots = cold_full.lp_pivots - cold_settle.lp_pivots;
-        let steady_warm_refactorizations =
-            warm_full.lp_refactorizations - warm_settle.lp_refactorizations;
-        let steady_cold_refactorizations =
-            cold_full.lp_refactorizations - cold_settle.lp_refactorizations;
-        entries.push(format!(
-            concat!(
-                "  {{\"bench\": \"scenario_incremental\", \"scale\": \"paper\", ",
-                "\"name\": \"{}\", \"epochs\": {}, \"steady_epochs\": {}, ",
-                "\"decision_match\": {}, \"worker_invariant\": {}, ",
-                "\"carry_cold_restarts\": {}, \"incremental_cold_epochs\": {}, ",
-                "\"steady_warm_pivots\": {}, \"steady_cold_pivots\": {}, ",
-                "\"pivot_ratio\": {:.2}, ",
-                "\"carry_certified\": {}, \"carry_certified_perturbed\": {}, ",
-                "\"churn_carry_attempts\": {}, ",
-                "\"steady_warm_refactorizations\": {}, ",
-                "\"steady_cold_refactorizations\": {}, ",
-                "\"warm_mean_decision_seconds\": {:.6}, ",
-                "\"warm_max_decision_seconds\": {:.6}, ",
-                "\"cold_mean_decision_seconds\": {:.6}, ",
-                "\"cold_max_decision_seconds\": {:.6}, ",
-                "\"decision_slo_seconds\": {}, \"slo_violations\": {}, ",
-                "\"obs_enabled\": true, \"span_coverage\": {:.3}, ",
-                "\"phase_revalidate_share\": {:.4}, \"phase_forecast_share\": {:.4}, ",
-                "\"phase_solve_share\": {:.4}, \"phase_admit_share\": {:.4}, ",
-                "\"phase_simulate_share\": {:.4}, ",
-                "\"warm_wall_seconds\": {:.6}, \"cold_wall_seconds\": {:.6}}}"
-            ),
-            warm_full.name,
-            warm_full.epochs,
-            steady_epochs,
-            decision_match,
-            worker_invariant,
-            warm_full.carry_cold_restarts,
-            warm_full.incremental_cold_epochs,
-            steady_warm_pivots,
-            steady_cold_pivots,
-            steady_cold_pivots as f64 / steady_warm_pivots.max(1) as f64,
-            warm_full.carry_certified,
-            warm_full.carry_certified_perturbed,
-            warm_full.churn_carry_attempts,
-            steady_warm_refactorizations,
-            steady_cold_refactorizations,
-            warm_full.mean_decision_seconds,
-            warm_full.max_decision_seconds,
-            cold_full.mean_decision_seconds,
-            cold_full.max_decision_seconds,
-            warm_full
-                .decision_slo_seconds
-                .map_or("null".to_string(), |s| format!("{s:.6}")),
-            warm_full.slo_violations,
-            span_coverage,
-            phase_share("revalidate"),
-            phase_share("forecast"),
-            phase_share("solve"),
-            phase_share("admit"),
-            phase_share("simulate"),
-            t_warm,
-            t_cold,
-        ));
-
-        // The degenerate-optimum probe: the homogeneous
-        // `incremental-degenerate-n1` preset, whose engineered
-        // tight-but-slack CU row fails strict complementarity on every
-        // steady epoch. The observables are the perturbation certificate's
-        // work (perturbed-only certifications, churn-epoch first-shed carry
-        // attempts, cold restarts reduced below certifications) plus the
-        // decision-latency SLO the preset declares; `check_bench_snapshot.py`
-        // gates them per-name.
-        let degen = ovnes_scenario::presets::incremental_degenerate();
-        let t0 = Instant::now();
-        let degen_warm = ovnes_scenario::run_scenario(&degen).expect("degenerate probe");
-        let t_degen_warm = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let degen_cold =
-            ovnes_scenario::run_scenario(&scratch(&degen)).expect("degenerate scratch");
-        let t_degen_cold = t0.elapsed().as_secs_f64();
-        let degen_match = degen_warm.decision_fingerprint() == degen_cold.decision_fingerprint();
-        assert!(degen_match, "degenerate decisions diverged from scratch");
-        let degen_invariant = [2usize, 4].iter().all(|&threads| {
-            let mut spec = degen.clone();
-            spec.threads = threads;
-            let par = ovnes_scenario::run_scenario(&spec).expect("degenerate workers");
-            par.fingerprint() == degen_warm.fingerprint()
-        });
-        assert!(degen_invariant, "degenerate run diverged across workers");
-        entries.push(format!(
-            concat!(
-                "  {{\"bench\": \"scenario_incremental\", \"scale\": \"paper\", ",
-                "\"name\": \"{}\", \"epochs\": {}, ",
-                "\"decision_match\": {}, \"worker_invariant\": {}, ",
-                "\"carry_cold_restarts\": {}, \"incremental_cold_epochs\": {}, ",
-                "\"carry_certified\": {}, \"carry_certified_perturbed\": {}, ",
-                "\"churn_carry_attempts\": {}, ",
-                "\"warm_mean_decision_seconds\": {:.6}, ",
-                "\"warm_max_decision_seconds\": {:.6}, ",
-                "\"decision_slo_seconds\": {}, \"slo_violations\": {}, ",
-                "\"warm_wall_seconds\": {:.6}, \"cold_wall_seconds\": {:.6}}}"
-            ),
-            degen_warm.name,
-            degen_warm.epochs,
-            degen_match,
-            degen_invariant,
-            degen_warm.carry_cold_restarts,
-            degen_warm.incremental_cold_epochs,
-            degen_warm.carry_certified,
-            degen_warm.carry_certified_perturbed,
-            degen_warm.churn_carry_attempts,
-            degen_warm.mean_decision_seconds,
-            degen_warm.max_decision_seconds,
-            degen_warm
-                .decision_slo_seconds
-                .map_or("null".to_string(), |s| format!("{s:.6}")),
-            degen_warm.slo_violations,
-            t_degen_warm,
-            t_degen_cold,
-        ));
     }
 
     // The randomized LP torture chain (shared generator with the unit and

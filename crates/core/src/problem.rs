@@ -358,25 +358,14 @@ pub struct SolveStats {
     /// Cuts recycled from previous epochs and re-priced into this solve's
     /// master (cross-epoch incremental Benders only; 0 elsewhere).
     pub recycled_cuts: usize,
-    /// Carried-basis warm solves discarded because the uniqueness
-    /// certificate failed, forcing an in-solve cold restart (cross-epoch
-    /// incremental KAC only; 0 elsewhere). Decisions after a restart are
-    /// exactly the from-scratch decisions — this only records that the
-    /// carry bought nothing that epoch.
+    /// Always 0: no solver restarts a carried solve cold any more. Kept
+    /// only because the repo benchmark's `carry.cold_restarts` row reads
+    /// it; removed together with that row.
     pub carry_cold_restarts: usize,
-    /// Carried-basis warm solves that stood: the seeded solve certified at
-    /// least a unique optimal decision (cross-epoch incremental KAC only).
+    /// Always 0: no solver certifies a carried solve any more. Kept only
+    /// because the repo benchmark's `carry.certified` row reads it;
+    /// removed together with that row.
     pub carry_certified: usize,
-    /// Subset of [`SolveStats::carry_certified`] certified only by the
-    /// perturbation certificate — degenerate optima the strict
-    /// complementarity test rejects (see
-    /// [`ovnes_lp::certify_unique_optimum_perturbed`]).
-    pub carry_certified_perturbed: usize,
-    /// Churn epochs' first-shed carry attempts: the carried basis was
-    /// seeded into a shed/re-pack iteration because the carried objective
-    /// predicted the packed set feasible (cross-epoch incremental KAC
-    /// only).
-    pub churn_carry_attempts: usize,
 }
 
 impl SolveStats {

@@ -17,6 +17,10 @@
 //! * the previous **admission** seeds the branch-and-bound incumbent, so
 //!   exact solvers prove optimality instead of rediscovering it.
 //!
+//! The carried basis and cuts serve Benders, the incumbent serves Benders
+//! and the one-shot MILP. KAC carries nothing: its epochs are plain
+//! [`kac::solve`] calls, identical to a from-scratch run.
+//!
 //! Infrastructure events (PR 6) only change row capacities, which
 //! re-pricing already absorbs; they do, however, make cuts whose
 //! certificates lean on the affected rows useless, so the orchestrator
@@ -123,16 +127,6 @@ impl EpochSolver {
                     .allocation
                     .as_ref()
                     .map_or(0, |a| a.stats.recycled_cuts);
-                if let Some(alloc) = outcome.allocation.as_ref() {
-                    ovnes_obs::metrics::global_counter_add(
-                        "epoch.carry_certified",
-                        alloc.stats.carry_certified as u64,
-                    );
-                    ovnes_obs::metrics::global_counter_add(
-                        "epoch.carry_cold_restarts",
-                        alloc.stats.carry_cold_restarts as u64,
-                    );
-                }
                 self.remember(instance, &outcome);
                 (outcome, report)
             }
@@ -156,9 +150,7 @@ impl EpochSolver {
         controls: &SolveControls,
     ) -> Result<ControlledOutcome, AcrrError> {
         let allocation = match controls.kind {
-            SolverKind::Kac => {
-                kac::solve_carried(instance, &controls.kac_options(), Some(&mut self.carry))?
-            }
+            SolverKind::Kac => kac::solve(instance, &controls.kac_options())?,
             SolverKind::Benders => {
                 let prev = self.mapped_prev(instance);
                 benders::solve_carried(

@@ -11,8 +11,12 @@
 //! decreasing; with profitable items having `γ < 0` the standard FFD reading
 //! is to sort by `−γ/max(w̄, ε)` descending and skip unprofitable items,
 //! which is what we do.
+//!
+//! KAC keeps no state across epochs: under `ScenarioSpec::incremental` the
+//! orchestrator's epoch solver still calls [`solve`], which re-vets each
+//! epoch from a cold slave.
 
-use super::slave::{LpCarry, SlaveContext, SlaveResult};
+use super::slave::{SlaveContext, SlaveResult};
 use super::AcrrError;
 use crate::problem::{AcrrInstance, Allocation, SolveStats};
 use ovnes_lp::SimplexOptions;
@@ -24,10 +28,10 @@ pub struct KacOptions {
     /// Maximum lazy-constraint iterations before falling back to dropping
     /// the least profitable admitted tenant.
     pub max_iterations: usize,
-    /// Simplex options for every vetting-slave LP solve. This is how a
-    /// caller's `SolveControls.lp_fault` (and pivot caps, when it chooses to
-    /// set them) reach KAC — previously the greedy path silently solved
-    /// with hard-coded defaults. KAC runs no branch-and-bound, so the
+    /// Simplex options for every vetting-slave LP solve, the strict vets
+    /// and the relaxed deficit fallback alike. This is how a caller's
+    /// `SolveControls.lp_fault` (and pivot caps, when it chooses to set
+    /// them) reach KAC. KAC runs no branch-and-bound, so the
     /// `threads`/`round_width` knobs of the exact solvers have no KAC
     /// equivalent.
     pub simplex: SimplexOptions,
@@ -43,57 +47,11 @@ impl Default for KacOptions {
 }
 
 /// Solves the AC-RR instance with the KAC heuristic.
+///
+/// Every call is a from-scratch solve: one persistent strict-slave LP
+/// warm-starts each vetting solve from the previous one *within* the
+/// epoch, but no state crosses epochs.
 pub fn solve(instance: &AcrrInstance, options: &KacOptions) -> Result<Allocation, AcrrError> {
-    solve_carried(instance, options, None)
-}
-
-/// [`solve`] with an optional cross-epoch LP carry: the vetting slave seeds
-/// a solve from the previous epoch's re-keyed basis and deposits its final
-/// basis back on success.
-///
-/// **Decision-identity contract (two certificates).** KAC's decisions
-/// consume the vetting LP's *certificates* (reservations `z`, Farkas
-/// rays), which are only start-point-independent when the optimal decision
-/// is unique. A carried (seeded) solve therefore only stands if it is
-/// feasible and certifies at least decision uniqueness:
-///
-/// * **strict** ([`SlaveContext::last_solve_certified_unique`]) — optimum
-///   *and* optimal basis unique; the warm solve terminated in exactly the
-///   state a cold solve reaches, so the rest of the epoch's warm chain
-///   follows the from-scratch trajectory with no further checks;
-/// * **perturbed** ([`SlaveContext::last_solve_certified_decision`]) — the
-///   decision is unique but the basis may not be (degenerate optima from
-///   homogeneous requests). The decisions agree with a cold solve, but the
-///   chain's terminal basis may differ from scratch, so every *subsequent*
-///   solve of the epoch must also certify decision uniqueness until one
-///   certifies strictly (which pins the basis and re-synchronizes the
-///   chain).
-///
-/// A solve that fails its required certificate — including an infeasible
-/// seeded vet, whose Farkas ray is never certified — discards the carried
-/// attempt and restarts the whole epoch cold, reproducing the from-scratch
-/// path verbatim (`stats.carry_cold_restarts` counts the discards). Either
-/// way the decisions are bit-identical to [`solve`] — the carry can only
-/// change how many pivots they cost.
-///
-/// **Where the carry is attempted.** On an all-forced epoch (no churn to
-/// admit), the opening forced-only vet is seeded directly — the O(churn)
-/// fast path. On a churn epoch the opening all-in vet is left cold (it is
-/// usually infeasible, and identical to scratch anyway); once the first
-/// cut arrives, the first shed/re-pack iteration is seeded instead,
-/// provided (a) the carried objective predicts the packed set within last
-/// epoch's proven risk budget, (b) the packed set equals the carried
-/// optimum's support ([`LpCarry::supports`] — a non-identity seed pays a
-/// remap refactorization, worthwhile only when the seeded LP is the
-/// carried optimum's own program), and (c) the packed floors fit every
-/// capacity row ([`SlaveContext::floors_fit`], an exact feasibility
-/// predicate — a seeded vet can then never land on an uncertifiable
-/// Farkas ray). `stats.churn_carry_attempts` counts these attempts.
-pub fn solve_carried(
-    instance: &AcrrInstance,
-    options: &KacOptions,
-    mut carry: Option<&mut LpCarry>,
-) -> Result<Allocation, AcrrError> {
     let _span = ovnes_obs::span!("kac");
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
@@ -117,285 +75,124 @@ pub fn solve_carried(
         gammas.insert((t, c), g);
     }
 
-    // Pivot work thrown away by discarded carried attempts: still real
-    // solve cost, so it is folded into the returned stats.
-    let mut wasted = ovnes_lp::LpStats::default();
-    let mut restarts = 0usize;
-    let mut churn_attempts = 0usize;
-    // Where to attempt the carried basis. An all-forced epoch (no churn to
-    // admit) seeds the opening forced-only vet directly — the O(churn)
-    // fast path, identity-remapped onto the previous basis. A churn epoch
-    // leaves the opening all-in vet cold: it is usually infeasible, an
-    // infeasible carried solve can never certify (Farkas rays are
-    // start-dependent), and an unseeded solve is trivially identical to
-    // scratch. Instead the first shed/re-pack iteration after a cut is
-    // seeded, gated on the carried objective predicting the packed set
-    // within budget (`carry_predicts_feasible`), the packed set matching
-    // the carried support (`LpCarry::supports`), and the packed floors
-    // fitting the capacities (`SlaveContext::floors_fit`).
-    let all_forced = instance.tenants.iter().all(|t| t.must_accept);
-    let mut use_carry = carry.is_some() && all_forced;
-    let carried_objective = carry.as_deref().and_then(|c| c.objective);
-    let mut try_churn_carry = !all_forced
-        && carried_objective.is_some()
-        && carry.as_deref().is_some_and(|c| c.is_seeded());
-    'attempt: loop {
-        // One persistent strict-slave LP per attempt: every vetting solve
-        // below re-prices the RHS and warm-starts from the previous
-        // admission's basis. All algorithm state is rebuilt per attempt so
-        // a cold restart replays the from-scratch path exactly.
-        let mut slave = SlaveContext::new(&strict);
-        slave.set_simplex_options(options.simplex.clone());
-        // The next solve runs from a carried (seeded) basis and must
-        // certify decision uniqueness to stand.
-        let mut seeded = false;
-        // A seeded solve certified only the perturbed (decision-level)
-        // certificate: the chain's basis may differ from scratch, so every
-        // later solve must keep certifying until one certifies strictly.
-        let mut verify_chain = false;
-        // The one churn-epoch carry attempt was already spent.
-        let mut churn_seeded = false;
-        if use_carry {
-            if let Some(c) = carry.as_deref() {
-                seeded = slave.seed_from_carry(c);
-            }
-        }
+    // One persistent strict-slave LP: every vetting solve below re-prices
+    // the RHS and warm-starts from the previous admission's basis.
+    let mut slave = SlaveContext::new(&strict);
+    slave.set_simplex_options(options.simplex.clone());
 
-        // Aggregated knapsack (Eq. 29): w̄ per item, W̄ total capacity. ε_k
-        // normalises each ray so no single cut dominates (the paper's
-        // recursive ε is a scaling device; we normalise by the ray's
-        // capacity term).
-        let mut w_bar: HashMap<(usize, usize), f64> = HashMap::new();
-        let mut cap_bar = 0.0f64;
-        let mut have_cuts = false;
-        let mut stats = SolveStats::default();
-        // Tenants force-dropped by the fallback (never readmitted this epoch).
-        let mut banned: Vec<bool> = vec![false; n_t];
+    // Aggregated knapsack (Eq. 29): w̄ per item, W̄ total capacity. ε_k
+    // normalises each ray so no single cut dominates (the paper's
+    // recursive ε is a scaling device; we normalise by the ray's capacity
+    // term).
+    let mut w_bar: HashMap<(usize, usize), f64> = HashMap::new();
+    let mut cap_bar = 0.0f64;
+    let mut have_cuts = false;
+    let mut stats = SolveStats::default();
+    // Tenants force-dropped by the fallback (never readmitted this epoch).
+    let mut banned: Vec<bool> = vec![false; n_t];
 
-        let mut extra_rounds = 0usize;
-        loop {
-            stats.iterations += 1;
-            let assigned = greedy_pack(instance, &gammas, &w_bar, cap_bar, have_cuts, &banned);
-
-            // Churn-epoch carry: the opening all-in vet went infeasible and
-            // was re-packed under its cut — seed this first shed iteration
-            // from the carried basis, once per epoch, when three gates all
-            // hold: the carried objective predicts the packed set within
-            // last epoch's proven risk budget, the packed set has returned
-            // to exactly the carried optimum's support (`supports` — any
-            // other set makes the basis re-price legs it never packed, so
-            // the remap refactorization a non-identity seed pays would buy
-            // almost nothing), and the packed floors actually fit the
-            // capacities (`floors_fit` decides the vet's feasibility
-            // exactly, so the seeded solve can never land on an
-            // uncertifiable Farkas ray).
-            if try_churn_carry && have_cuts && !churn_seeded {
-                churn_seeded = true;
-                if carry_predicts_feasible(&strict, &assigned, carried_objective.unwrap_or(0.0))
-                    && carry
-                        .as_deref()
-                        .is_some_and(|c| c.supports(&strict, &assigned))
-                    && slave.floors_fit(&assigned)
-                {
-                    if let Some(c) = carry.as_deref() {
-                        if slave.seed_from_carry(c) {
-                            seeded = true;
-                            churn_attempts += 1;
+    let mut extra_rounds = 0usize;
+    loop {
+        stats.iterations += 1;
+        let assigned = greedy_pack(instance, &gammas, &w_bar, cap_bar, have_cuts, &banned);
+        stats.lp_solves += 1;
+        match slave.solve_for(&assigned)? {
+            SlaveResult::Feasible {
+                value,
+                z,
+                deficit,
+                cut: _,
+            } => {
+                // Improvement pass: with the slave's priced reservations,
+                // a squeezed tenant may cost more in expected penalty than
+                // its reward (`Σ_legs q·(Λ − z) > R`). Shedding it frees
+                // room for the survivors; iterate until no tenant is
+                // net-negative (the admitted set strictly shrinks, so this
+                // terminates).
+                let (mut assigned, mut value, mut z, mut deficit) = (assigned, value, z, deficit);
+                while let Some(t) = worst_net_negative(instance, &assigned, &z) {
+                    assigned[t] = None;
+                    stats.lp_solves += 1;
+                    match slave.solve_for(&assigned)? {
+                        SlaveResult::Feasible {
+                            value: v2,
+                            z: z2,
+                            deficit: d2,
+                            ..
+                        } => {
+                            value = v2;
+                            z = z2;
+                            deficit = d2;
+                        }
+                        SlaveResult::Infeasible { .. } => {
+                            return Err(AcrrError::Internal(
+                                "shedding a tenant cannot break feasibility",
+                            ))
                         }
                     }
                 }
-            }
-
-            stats.lp_solves += 1;
-            let result = slave.solve_for(&assigned)?;
-            if seeded || verify_chain {
-                // A carried solve (and, after a perturbed-only
-                // certification, every later solve of the chain) only
-                // stands if its optimal decision is provably unique —
-                // otherwise the warm start may have landed on a different
-                // vertex / Farkas ray than a cold solve would, and every
-                // certificate-consuming decision downstream could diverge.
-                // Discard and restart cold; the from-scratch trajectory is
-                // restored verbatim.
-                let certified = matches!(result, SlaveResult::Feasible { .. })
-                    && slave.last_solve_certified_decision();
-                if !certified {
-                    wasted.absorb(&slave.stats);
-                    restarts += 1;
-                    use_carry = false;
-                    try_churn_carry = false;
-                    continue 'attempt;
-                }
-                if seeded {
-                    stats.carry_certified += 1;
-                    if !slave.last_solve_certified_unique() {
-                        stats.carry_certified_perturbed += 1;
+                let fixed: f64 = assigned
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(t, c)| c.and_then(|c| gammas.get(&(t, c))))
+                    .sum();
+                let mut reservations = vec![vec![0.0; instance.n_bs]; n_t];
+                for (li, leg) in instance.legs.iter().enumerate() {
+                    if assigned[leg.tenant] == Some(leg.cu) {
+                        reservations[leg.tenant][leg.bs] = z[li];
                     }
-                    seeded = false;
                 }
-                // A strict certification pins the terminal basis itself, so
-                // the chain is re-synchronized with the from-scratch
-                // trajectory and needs no further verification.
-                verify_chain = !slave.last_solve_certified_unique();
-            }
-            match result {
-                SlaveResult::Feasible {
-                    value,
-                    z,
+                stats.lp.absorb(&slave.stats);
+                return Ok(Allocation {
+                    objective: fixed + value,
+                    assigned_cu: assigned,
+                    reservations,
                     deficit,
-                    cut: _,
-                } => {
-                    // Improvement pass: with the slave's priced reservations,
-                    // a squeezed tenant may cost more in expected penalty than
-                    // its reward (`Σ_legs q·(Λ − z) > R`). Shedding it frees
-                    // room for the survivors; iterate until no tenant is
-                    // net-negative (the admitted set strictly shrinks, so this
-                    // terminates).
-                    let (mut assigned, mut value, mut z, mut deficit) =
-                        (assigned, value, z, deficit);
-                    loop {
-                        let victim = worst_net_negative(instance, &assigned, &z);
-                        let Some(t) = victim else { break };
-                        assigned[t] = None;
-                        stats.lp_solves += 1;
-                        match slave.solve_for(&assigned)? {
-                            SlaveResult::Feasible {
-                                value: v2,
-                                z: z2,
-                                deficit: d2,
-                                ..
-                            } => {
-                                // A perturbed-only chain keeps verifying
-                                // through the improvement pass too.
-                                if verify_chain && !slave.last_solve_certified_decision() {
-                                    wasted.absorb(&slave.stats);
-                                    restarts += 1;
-                                    use_carry = false;
-                                    try_churn_carry = false;
-                                    continue 'attempt;
-                                }
-                                verify_chain = verify_chain && !slave.last_solve_certified_unique();
-                                value = v2;
-                                z = z2;
-                                deficit = d2;
-                            }
-                            SlaveResult::Infeasible { .. } => {
-                                return Err(AcrrError::Internal(
-                                    "shedding a tenant cannot break feasibility",
-                                ))
-                            }
-                        }
+                    stats,
+                });
+            }
+            SlaveResult::Infeasible { cut } => {
+                if stats.iterations <= options.max_iterations {
+                    // Feasibility requires cut(u) ≤ 0 ⇔ Σ coeff·u ≤
+                    // −constant. Fold into the aggregated knapsack,
+                    // normalised by the capacity magnitude (Eq. 30's ε
+                    // scaling).
+                    let cap_k = -cut.constant;
+                    let norm = cap_k.abs().max(1.0);
+                    for (&pair, &w) in &cut.coeffs {
+                        *w_bar.entry(pair).or_insert(0.0) += w / norm;
                     }
-                    let fixed: f64 = assigned
+                    cap_bar += cap_k / norm;
+                    have_cuts = true;
+                } else {
+                    // Fallback for pathological aggregation: shed the
+                    // least profitable non-forced admitted tenant.
+                    // Terminates since the admitted set strictly shrinks.
+                    extra_rounds += 1;
+                    let victim = assigned
                         .iter()
                         .enumerate()
-                        .filter_map(|(t, c)| c.and_then(|c| gammas.get(&(t, c))))
-                        .sum();
-                    let mut reservations = vec![vec![0.0; instance.n_bs]; n_t];
-                    for (li, leg) in instance.legs.iter().enumerate() {
-                        if assigned[leg.tenant] == Some(leg.cu) {
-                            reservations[leg.tenant][leg.bs] = z[li];
-                        }
-                    }
-                    stats.lp.absorb(&slave.stats);
-                    stats.lp.absorb(&wasted);
-                    stats.carry_cold_restarts = restarts;
-                    stats.churn_carry_attempts = churn_attempts;
-                    if let Some(c) = carry.as_deref_mut() {
-                        slave.save_carry(c);
-                    }
-                    return Ok(Allocation {
-                        objective: fixed + value,
-                        assigned_cu: assigned,
-                        reservations,
-                        deficit,
-                        stats,
-                    });
-                }
-                SlaveResult::Infeasible { cut } => {
-                    if stats.iterations <= options.max_iterations {
-                        // Feasibility requires cut(u) ≤ 0 ⇔ Σ coeff·u ≤
-                        // −constant. Fold into the aggregated knapsack,
-                        // normalised by the capacity magnitude (Eq. 30's ε
-                        // scaling).
-                        let cap_k = -cut.constant;
-                        let norm = cap_k.abs().max(1.0);
-                        for (&pair, &w) in &cut.coeffs {
-                            *w_bar.entry(pair).or_insert(0.0) += w / norm;
-                        }
-                        cap_bar += cap_k / norm;
-                        have_cuts = true;
-                    } else {
-                        // Fallback for pathological aggregation: shed the
-                        // least profitable non-forced admitted tenant.
-                        // Terminates since the admitted set strictly shrinks.
-                        extra_rounds += 1;
-                        let victim = assigned
-                            .iter()
-                            .enumerate()
-                            .filter(|(t, c)| c.is_some() && !instance.tenants[*t].must_accept)
-                            .max_by(|(ta, ca), (tb, cb)| {
-                                let ga = ca.and_then(|c| gammas.get(&(*ta, c))).copied();
-                                let gb = cb.and_then(|c| gammas.get(&(*tb, c))).copied();
-                                ga.unwrap_or(0.0).total_cmp(&gb.unwrap_or(0.0))
-                            })
-                            .map(|(t, _)| t);
-                        match victim {
-                            Some(t) => banned[t] = true,
-                            None => {
-                                // Only forced tenants remain and they do not
-                                // fit strictly: lean on the §3.4 relaxation.
-                                // The strict slave's final basis is still the
-                                // best available carry for the next epoch (the
-                                // relaxed fallback context has a different
-                                // column layout).
-                                stats.lp.absorb(&slave.stats);
-                                stats.lp.absorb(&wasted);
-                                stats.carry_cold_restarts = restarts;
-                                stats.churn_carry_attempts = churn_attempts;
-                                if let Some(c) = carry.as_deref_mut() {
-                                    slave.save_carry(c);
-                                }
-                                return finish_with_deficit(instance, &assigned, stats);
-                            }
-                        }
-                        if extra_rounds > n_t {
+                        .filter(|(t, c)| c.is_some() && !instance.tenants[*t].must_accept)
+                        .max_by(|(ta, ca), (tb, cb)| {
+                            let ga = ca.and_then(|c| gammas.get(&(*ta, c))).copied();
+                            let gb = cb.and_then(|c| gammas.get(&(*tb, c))).copied();
+                            ga.unwrap_or(0.0).total_cmp(&gb.unwrap_or(0.0))
+                        })
+                        .map(|(t, _)| t);
+                    // Only forced tenants remain and they do not fit
+                    // strictly, or the shedding ran past every tenant:
+                    // lean on the §3.4 relaxation.
+                    match victim {
+                        Some(t) if extra_rounds <= n_t => banned[t] = true,
+                        _ => {
                             stats.lp.absorb(&slave.stats);
-                            stats.lp.absorb(&wasted);
-                            stats.carry_cold_restarts = restarts;
-                            stats.churn_carry_attempts = churn_attempts;
-                            if let Some(c) = carry.as_deref_mut() {
-                                slave.save_carry(c);
-                            }
-                            return finish_with_deficit(instance, &assigned, stats);
+                            return finish_with_deficit(instance, &assigned, options, stats);
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// Feasibility predictor for the churn-epoch carry: the packed set's
-/// minimal risk-weighted reservation mass (`Σ q·λ̂` over its legs) must fit
-/// inside the mass the previous epoch's optimum provably packed (the
-/// carried objective's magnitude). Purely advisory — a wrong prediction
-/// costs a discarded attempt (absorbed by the cold restart), never
-/// correctness — but it keeps the carry off packed sets that are obviously
-/// heavier than anything the carried basis ever supported.
-fn carry_predicts_feasible(
-    instance: &AcrrInstance,
-    assigned: &[Option<usize>],
-    carried_objective: f64,
-) -> bool {
-    let budget = carried_objective.abs();
-    let mut mass = 0.0;
-    for leg in &instance.legs {
-        if assigned[leg.tenant] == Some(leg.cu) {
-            mass += instance.leg_q(leg) * instance.leg_forecast(leg);
-        }
-    }
-    mass <= budget + 1e-9
 }
 
 /// Finds the admitted, non-forced tenant whose expected risk at its current
@@ -432,6 +229,7 @@ fn worst_net_negative(
 fn finish_with_deficit(
     instance: &AcrrInstance,
     assigned: &[Option<usize>],
+    options: &KacOptions,
     mut stats: SolveStats,
 ) -> Result<Allocation, AcrrError> {
     // Keep only forced tenants; everything optional was already shed.
@@ -451,8 +249,10 @@ fn finish_with_deficit(
     }
     stats.lp_solves += 1;
     // Fresh context over the *relaxed* instance (the loop's context was
-    // strict); keep its pivot counters so `stats.lp` covers every solve.
+    // strict), under the caller's simplex options like every other vet;
+    // keep its pivot counters so `stats.lp` covers every solve.
     let mut relaxed = SlaveContext::new(instance);
+    relaxed.set_simplex_options(options.simplex.clone());
     let result = relaxed.solve_for(&forced)?;
     stats.lp.absorb(&relaxed.stats);
     match result {

@@ -238,8 +238,6 @@ pub fn solve_with_incumbent(
             recycled_cuts: 0,
             carry_cold_restarts: 0,
             carry_certified: 0,
-            carry_certified_perturbed: 0,
-            churn_carry_attempts: 0,
         },
     })
 }

@@ -41,6 +41,11 @@
 //! still-valid **factorization** — a re-priced solve starts with zero
 //! refactorizations and replays the persisted sparse LU + eta file directly
 //! (`stats.factorization_reuses` counts the hits).
+//!
+//! Across epochs, [`LpCarry`] re-keys one epoch's final basis onto the next
+//! epoch's freshly built slave for the incremental Benders path. Nothing
+//! certifies that a carried solve reproduces a cold one, so a carried
+//! Benders run may settle on a different optimal vertex among ties.
 
 use crate::problem::AcrrInstance;
 use ovnes_lp::{Basis, Cmp, ConsId, LpStats, Outcome, Problem, SimplexOptions, VarId};
@@ -75,56 +80,19 @@ pub enum RowKey {
 /// (freshly built) slave can re-key it onto its own column/row order via
 /// [`Basis::remap`]. On a no-churn epoch the mapping is the identity and the
 /// persisted factorization rides along — the first re-solve then performs
-/// zero refactorizations.
+/// zero refactorizations. Only the incremental Benders path carries one;
+/// KAC solves every epoch from scratch.
 #[derive(Debug, Clone, Default)]
 pub struct LpCarry {
     pub(crate) basis: Option<Basis>,
     pub(crate) cols: Vec<ColKey>,
     pub(crate) rows: Vec<RowKey>,
-    /// Final feasible slave objective of the depositing epoch — the
-    /// feasibility predictor for attempting the carry on a churn epoch's
-    /// shed iteration (the carried optimum bounds the risk budget that was
-    /// provably packable last epoch).
-    pub(crate) objective: Option<f64>,
-    /// Keyed packed support of the depositing epoch's final feasible vet:
-    /// the legs its admission actually reserved on. The churn-epoch carry
-    /// gate only seeds a shed iteration whose packed set *equals* this
-    /// support — the seeded LP is then the carried optimum's own program
-    /// (modulo forecast drift) and re-solves in a handful of pivots, which
-    /// is the only case worth the remap refactorization a non-identity
-    /// seed always pays.
-    pub(crate) packed: Vec<ColKey>,
 }
 
 impl LpCarry {
     /// True once a previous epoch has deposited a basis to resume from.
     pub fn is_seeded(&self) -> bool {
         self.basis.is_some()
-    }
-
-    /// True when the packed leg set of `assigned` equals the carried
-    /// support — the shed iteration has returned to exactly the admission
-    /// the carried basis is optimal for, so a seeded vet resumes at (or
-    /// next to) the carried optimum. Any other packed set means the basis
-    /// must re-price legs it never packed (or miss legs it did): the remap
-    /// refactorization a non-identity seed pays would buy almost nothing,
-    /// so the churn-epoch carry gate skips the attempt.
-    pub fn supports(&self, instance: &AcrrInstance, assigned: &[Option<usize>]) -> bool {
-        let support: std::collections::HashSet<ColKey> = self.packed.iter().copied().collect();
-        let mut n = 0usize;
-        for leg in &instance.legs {
-            if assigned[leg.tenant] == Some(leg.cu) {
-                n += 1;
-                if !support.contains(&ColKey::Leg(
-                    instance.tenants[leg.tenant].tenant,
-                    leg.bs,
-                    leg.cu,
-                )) {
-                    return false;
-                }
-            }
-        }
-        n == support.len()
     }
 }
 
@@ -233,20 +201,6 @@ pub struct SlaveContext<'a> {
     /// Raw dual certificate of the most recent `solve_for`, keyed for the
     /// cross-epoch cut pool.
     last_cut_duals: Option<RecycledCut>,
-    /// Whether the most recent `solve_for` certified a unique optimum and
-    /// unique optimal basis (see [`ovnes_lp::certify_unique_optimum`]).
-    last_unique: bool,
-    /// Whether the most recent `solve_for` certified at least a unique
-    /// optimal *decision* (strict certificate, or the perturbation
-    /// certificate on a degenerate optimum — see
-    /// [`ovnes_lp::certify_unique_optimum_perturbed`]).
-    last_decision_unique: bool,
-    /// Most recent feasible `solve_for` objective; deposited into
-    /// [`LpCarry::objective`] as the next epoch's feasibility predictor.
-    last_objective: Option<f64>,
-    /// Keyed packed support of the most recent feasible `solve_for`;
-    /// deposited into [`LpCarry::packed`] as the churn-carry support gate.
-    last_packed: Vec<ColKey>,
     /// Pivot statistics accumulated over every `solve_for` call.
     pub stats: LpStats,
 }
@@ -391,10 +345,6 @@ impl<'a> SlaveContext<'a> {
             warm: true,
             simplex: SimplexOptions::default(),
             last_cut_duals: None,
-            last_unique: false,
-            last_decision_unique: false,
-            last_objective: None,
-            last_packed: Vec::new(),
             stats: LpStats::default(),
         }
     }
@@ -430,52 +380,18 @@ impl<'a> SlaveContext<'a> {
         keys
     }
 
-    /// Exact feasibility of the reservation LP under `assigned`, decided
-    /// without solving: every row coefficient on a reservation column is
-    /// nonnegative and each packed leg's window floor is its forecast, so
-    /// the LP is feasible iff the all-floors point satisfies every
-    /// capacity row. (A deficit-relaxed context is always feasible.) The
-    /// churn-epoch carry gate uses this to keep seeded attempts off packed
-    /// sets whose vet will go infeasible — a Farkas ray is never
-    /// certified, so such an attempt could only end in a cold restart.
-    pub fn floors_fit(&self, assigned: &[Option<usize>]) -> bool {
-        if self.deficit_vars.is_some() {
-            return true;
-        }
-        let mut usage = vec![0.0; self.rows.len()];
-        for (li, leg) in self.instance.legs.iter().enumerate() {
-            if assigned[leg.tenant] == Some(leg.cu) {
-                let floor = self.leg_window[li].0;
-                for &(ri, coeff) in &self.leg_cols[li] {
-                    usage[ri] += coeff * floor;
-                }
-            }
-        }
-        self.rows.iter().zip(&usage).all(|(spec, &used)| {
-            let mut rhs = spec.r0;
-            for &((t, c), w) in &spec.u_coeffs {
-                if assigned[t] == Some(c) {
-                    rhs += w;
-                }
-            }
-            used <= rhs + 1e-9 * rhs.abs().max(1.0)
-        })
-    }
-
     /// Seeds this (freshly built) context from a previous epoch's carry:
     /// the old basis is re-keyed onto this LP's column/row layout with
     /// [`Basis::remap`]. Columns and rows that only one epoch has start
     /// exactly where a cold solve would place them. A no-churn epoch maps
-    /// identically and inherits the persisted factorization. Returns
-    /// whether a basis was actually installed (`false` for an empty carry
-    /// or a cold-start context) so callers know if the next solve is
-    /// genuinely warm-started.
-    pub fn seed_from_carry(&mut self, carry: &LpCarry) -> bool {
+    /// identically and inherits the persisted factorization. An empty
+    /// carry, or a context with warm starts disabled, is left cold.
+    pub fn seed_from_carry(&mut self, carry: &LpCarry) {
         let Some(basis) = &carry.basis else {
-            return false;
+            return;
         };
         if !self.warm {
-            return false;
+            return;
         }
         let new_cols = self.col_keys();
         let col_index: HashMap<ColKey, usize> =
@@ -491,7 +407,6 @@ impl<'a> SlaveContext<'a> {
             .map(|k| self.row_lookup.get(k).copied())
             .collect();
         self.basis = Some(basis.remap(&col_map, new_cols.len(), &row_map, self.rows.len()));
-        true
     }
 
     /// Deposits this context's final basis and keyed layout into `carry`
@@ -500,35 +415,12 @@ impl<'a> SlaveContext<'a> {
         carry.basis = self.basis.clone();
         carry.cols = self.col_keys();
         carry.rows = self.row_keys.clone();
-        carry.objective = self.last_objective;
-        carry.packed = self.last_packed.clone();
     }
 
     /// Raw dual certificate of the most recent [`SlaveContext::solve_for`],
     /// for the cross-epoch cut pool.
     pub fn last_cut_duals(&self) -> Option<&RecycledCut> {
         self.last_cut_duals.as_ref()
-    }
-
-    /// Whether the most recent [`SlaveContext::solve_for`] certified that
-    /// its optimum — *and* its optimal basis — are unique, i.e. that any
-    /// simplex start (a carried cross-epoch basis included) must terminate
-    /// in the identical state. `false` after an infeasible solve: Farkas
-    /// rays are never certified.
-    pub fn last_solve_certified_unique(&self) -> bool {
-        self.last_unique
-    }
-
-    /// Whether the most recent [`SlaveContext::solve_for`] certified at
-    /// least a unique optimal *decision*: the strict certificate above, or
-    /// — when strict complementarity fails on a degenerate optimum — the
-    /// perturbation certificate
-    /// ([`ovnes_lp::certify_unique_optimum_perturbed`]). This is the
-    /// decision-identity gate of the cross-epoch warm start: a carried
-    /// solve chain whose members cannot certify decision uniqueness is
-    /// discarded and re-run cold. `false` after an infeasible solve.
-    pub fn last_solve_certified_decision(&self) -> bool {
-        self.last_decision_unique
     }
 
     /// Re-prices a recycled dual certificate against **this** epoch's data,
@@ -680,19 +572,6 @@ impl<'a> SlaveContext<'a> {
 
         match ws.outcome {
             Outcome::Optimal(sol) => {
-                self.last_unique = ovnes_lp::certify_unique_optimum(&self.problem, &sol);
-                self.last_decision_unique = self.last_unique
-                    || ovnes_lp::certify_unique_optimum_perturbed(&self.problem, &sol);
-                self.last_objective = Some(sol.objective);
-                self.last_packed = self
-                    .instance
-                    .legs
-                    .iter()
-                    .filter(|leg| assigned[leg.tenant] == Some(leg.cu))
-                    .map(|leg| {
-                        ColKey::Leg(self.instance.tenants[leg.tenant].tenant, leg.bs, leg.cu)
-                    })
-                    .collect();
                 let z: Vec<f64> = self.z_vars.iter().map(|&v| sol.value(v).max(0.0)).collect();
                 let deficit = self
                     .deficit_vars
@@ -712,8 +591,6 @@ impl<'a> SlaveContext<'a> {
                 })
             }
             Outcome::Infeasible(farkas) => {
-                self.last_unique = false;
-                self.last_decision_unique = false;
                 let mut cut = self.row_cut(&farkas.row_multipliers);
                 self.feasibility_window(&mut cut, &farkas.row_multipliers);
                 self.last_cut_duals = Some(RecycledCut {

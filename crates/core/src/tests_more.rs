@@ -5,7 +5,7 @@ use crate::experiment::{heterogeneous, homogeneous, revenue_gain_percent, SigmaL
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::problem::{AcrrInstance, PathPolicy, TenantInput, MBPS_PER_MHZ};
 use crate::slice::{ServiceModel, SliceClass, SliceRequest, SliceTemplate};
-use crate::solver::slave::{solve_slave, SlaveResult};
+use crate::solver::slave::{solve_slave, SlaveContext, SlaveResult};
 use crate::solver::{benders, kac, SolverKind};
 use crate::testbed::epoch_to_time;
 use ovnes_topology::graph::{Graph, LinkTech};
@@ -273,6 +273,64 @@ fn deficit_vars_report_through_allocation() {
     let alloc = benders::solve(&inst, &benders::BendersOptions::default()).unwrap();
     assert_eq!(alloc.accepted(), 1, "forced slice stays");
     assert!(alloc.deficit.2 > 1.0, "compute deficit must be reported");
+}
+
+/// KAC's deficit fallback runs its relaxed solve under the caller's
+/// simplex options, like every strict vet before it.
+#[test]
+fn kac_deficit_fallback_honours_simplex_options() {
+    // Forced tenants overflowing both the radio (4·45 > 150 Mb/s) and the
+    // compute (0.5 cores): the strict vet is infeasible, and the relaxed
+    // solve must bring in two deficit columns.
+    let model = one_bs_model(0.5);
+    let tenants: Vec<TenantInput> = (0..4)
+        .map(|i| {
+            let mut t = simple_tenant(i, 45.0, 0.2);
+            t.service.cores_per_mbps = 1.0;
+            t.must_accept = true;
+            t.pinned_cu = Some(0);
+            t
+        })
+        .collect();
+    let inst = AcrrInstance::build(&model, tenants, PathPolicy::MinDelay, true, Some(1e4));
+    let simplex = ovnes_lp::SimplexOptions {
+        refactor_interval: 1,
+        ..ovnes_lp::SimplexOptions::default()
+    };
+    let options = kac::KacOptions {
+        max_iterations: 0,
+        simplex: simplex.clone(),
+    };
+    let alloc = kac::solve(&inst, &options).unwrap();
+    assert_eq!(alloc.accepted(), 4, "forced slices stay");
+    assert!(alloc.deficit.0 > 0.0 && alloc.deficit.2 > 0.0);
+
+    let all_in = vec![Some(0); 4];
+    let strict_inst = AcrrInstance {
+        deficit_cost: None,
+        ..inst.clone()
+    };
+    let mut strict = SlaveContext::new(&strict_inst);
+    strict.set_simplex_options(simplex.clone());
+    assert!(matches!(
+        strict.solve_for(&all_in).unwrap(),
+        SlaveResult::Infeasible { .. }
+    ));
+    let relaxed_stats = |options: &ovnes_lp::SimplexOptions| {
+        let mut relaxed = SlaveContext::new(&inst);
+        relaxed.set_simplex_options(options.clone());
+        relaxed.solve_for(&all_in).unwrap();
+        relaxed.stats
+    };
+    let relaxed = relaxed_stats(&simplex);
+    assert!(
+        relaxed.total_pivots() >= 2,
+        "relaxed solve pivoted too little"
+    );
+    assert_ne!(relaxed, relaxed_stats(&ovnes_lp::SimplexOptions::default()));
+    let mut expected = strict.stats;
+    expected.absorb(&relaxed);
+    assert_eq!(alloc.stats.lp, expected);
 }
 
 #[test]

@@ -73,6 +73,11 @@
 //! mismatch and transparently performs a cold solve. Bases are plain values
 //! (`Clone`) — branch-and-bound hands each child its parent's basis.
 //!
+//! A warm solve reaches *an* optimum, not necessarily the vertex (or the
+//! dual vector) a cold solve of the same problem would return when the
+//! optimum is not unique. The crate offers no uniqueness certificate:
+//! callers that need cold-identical answers solve cold.
+//!
 //! ## Persistent factorizations
 //!
 //! A [`Basis`] also carries the **factorization** of its basis matrix
@@ -228,9 +233,7 @@ pub mod revised;
 mod simplex;
 pub mod sparse;
 
-pub use model::{
-    certify_unique_optimum, certify_unique_optimum_perturbed, Cmp, ConsId, Problem, VarId,
-};
+pub use model::{Cmp, ConsId, Problem, VarId};
 pub use revised::{Basis, LpStats, WarmSolve, Workspace};
 pub use simplex::{
     default_refactor_interval, fault_injection_active, Farkas, FaultConfig, Outcome,

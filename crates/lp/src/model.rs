@@ -1,7 +1,7 @@
 //! Problem builder: variables with bounds, sparse linear constraints, and a
 //! linear minimisation objective.
 
-use crate::simplex::{self, Outcome, SimplexOptions, Solution, SolveError};
+use crate::simplex::{self, Outcome, SimplexOptions, SolveError};
 use crate::sparse::SparseMatrix;
 
 /// Handle to a decision variable, returned by [`Problem::add_var`].
@@ -257,162 +257,5 @@ impl Problem {
         ws: &mut crate::Workspace,
     ) -> Result<crate::WarmSolve, SolveError> {
         crate::revised::solve_warm_in(self, warm, options, ws)
-    }
-}
-
-/// Certifies that `s` is the **unique** optimum of `p` *and* that its
-/// optimal basis is unique — the precondition for basis-start-independent
-/// re-solves (any simplex path, warm or cold, must then terminate in the
-/// identical state).
-///
-/// The check is conservative (sufficient, not necessary): it demands
-/// strict complementarity at the KKT point —
-///
-/// * every variable resting on a bound has a strictly nonzero reduced cost
-///   `d_j = c_j − y'A_j` (dual nondegeneracy: no zero-cost direction into
-///   the feasible box, and a basic-at-bound column — whose `d_j` is zero —
-///   is rejected as primal-degenerate);
-/// * every tight inequality row carries a strictly nonzero multiplier
-///   (a tight row with `y_i ≈ 0` either admits an alternative optimum or
-///   hides a degenerate basic slack).
-///
-/// Fixed variables (`lb == ub`) and equality rows have no freedom and are
-/// skipped. Returns `false` whenever uniqueness cannot be certified; a
-/// `false` from a genuinely unique optimum only costs the caller a
-/// fallback, never correctness.
-pub fn certify_unique_optimum(p: &Problem, s: &Solution) -> bool {
-    const TOL: f64 = 1e-7;
-    // Reduced costs in one sweep over the nonzeros.
-    let mut d: Vec<f64> = p.vars.iter().map(|v| v.obj).collect();
-    for (i, cons) in p.cons.iter().enumerate() {
-        let y = s.duals[i];
-        if y != 0.0 {
-            for &(j, a) in &cons.coeffs {
-                d[j] -= y * a;
-            }
-        }
-    }
-    for (j, v) in p.vars.iter().enumerate() {
-        if v.lb == v.ub {
-            continue;
-        }
-        let x = s.x[j];
-        let at_lower = v.lb.is_finite() && (x - v.lb).abs() <= TOL * (1.0 + v.lb.abs());
-        let at_upper = v.ub.is_finite() && (v.ub - x).abs() <= TOL * (1.0 + v.ub.abs());
-        if (at_lower || at_upper) && d[j].abs() <= TOL * (1.0 + v.obj.abs()) {
-            return false;
-        }
-    }
-    for (i, cons) in p.cons.iter().enumerate() {
-        if matches!(cons.cmp, Cmp::Eq) {
-            continue;
-        }
-        let activity: f64 = cons.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
-        let tight = (activity - cons.rhs).abs() <= TOL * (1.0 + cons.rhs.abs());
-        if tight && s.duals[i].abs() <= TOL {
-            return false;
-        }
-    }
-    true
-}
-
-/// Certifies that `s.x` is the **unique optimal decision** of `p`, without
-/// requiring the optimal *basis* to be unique — the perturbation-style
-/// widening of [`certify_unique_optimum`] for degenerate optima.
-///
-/// Degeneracy is the normal case for LPs built from exchangeable columns
-/// (many identical requests): a capacity row can sit exactly tight with a
-/// zero multiplier, or a basic variable can rest on its bound, so strict
-/// complementarity fails even though every optimum has the same `x`. This
-/// certificate reasons about the optimal *face* instead, mimicking what an
-/// infinitesimal lexicographic perturbation of the bounds would reveal:
-///
-/// 1. Complementary slackness with the one known optimal dual `y` holds
-///    between *every* primal optimum and *every* dual optimum, so a
-///    variable with a strictly nonzero reduced cost `d_j = c_j − y'A_j` is
-///    pinned to the bound it currently rests on at every optimum. Fixed
-///    variables (`lb == ub`) are pinned trivially.
-/// 2. Equality rows, and inequality rows with `|y_i| > tol`, are tight at
-///    every optimum (the optimal face lies inside them).
-/// 3. A face row whose nonzeros cover exactly one unpinned column
-///    determines that column; propagate to a fixed point.
-///
-/// Certification succeeds iff every variable ends up pinned. A tight row
-/// with a zero dual — the classic degenerate pattern strict
-/// complementarity rejects — is simply *not* a face row here and costs
-/// nothing, while genuine alternative optima (exchangeable columns sharing
-/// a binding row with equal costs) leave columns unpinned and are refused.
-///
-/// **Scope:** this certifies the primal decision only. The optimal basis,
-/// and hence the dual vector, may still be non-unique — consumers of dual
-/// certificates (e.g. Benders optimality cuts) must keep using
-/// [`certify_unique_optimum`].
-pub fn certify_unique_optimum_perturbed(p: &Problem, s: &Solution) -> bool {
-    const TOL: f64 = 1e-7;
-    let n = p.vars.len();
-    let mut d: Vec<f64> = p.vars.iter().map(|v| v.obj).collect();
-    for (i, cons) in p.cons.iter().enumerate() {
-        let y = s.duals[i];
-        if y != 0.0 {
-            for &(j, a) in &cons.coeffs {
-                d[j] -= y * a;
-            }
-        }
-    }
-    let mut pinned = vec![false; n];
-    let mut unpinned = 0usize;
-    for (j, v) in p.vars.iter().enumerate() {
-        if v.lb == v.ub {
-            pinned[j] = true;
-            continue;
-        }
-        if d[j].abs() > TOL * (1.0 + v.obj.abs()) {
-            let x = s.x[j];
-            let at_lower = v.lb.is_finite() && (x - v.lb).abs() <= TOL * (1.0 + v.lb.abs());
-            let at_upper = v.ub.is_finite() && (v.ub - x).abs() <= TOL * (1.0 + v.ub.abs());
-            if at_lower || at_upper {
-                pinned[j] = true;
-                continue;
-            }
-            // A strictly nonzero reduced cost away from both bounds
-            // contradicts optimality — numerically suspect, refuse.
-            return false;
-        }
-        unpinned += 1;
-    }
-    if unpinned == 0 {
-        return true;
-    }
-    // Rows tight at every optimum: the optimal face lives inside them.
-    let face: Vec<usize> = p
-        .cons
-        .iter()
-        .enumerate()
-        .filter(|(i, c)| matches!(c.cmp, Cmp::Eq) || s.duals[*i].abs() > TOL)
-        .map(|(i, _)| i)
-        .collect();
-    loop {
-        let mut progress = false;
-        for &i in &face {
-            let mut free = 0usize;
-            let mut last = usize::MAX;
-            for &(j, a) in &p.cons[i].coeffs {
-                if a != 0.0 && !pinned[j] {
-                    free += 1;
-                    last = j;
-                }
-            }
-            if free == 1 {
-                pinned[last] = true;
-                unpinned -= 1;
-                progress = true;
-            }
-        }
-        if unpinned == 0 {
-            return true;
-        }
-        if !progress {
-            return false;
-        }
     }
 }

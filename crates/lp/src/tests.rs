@@ -566,76 +566,3 @@ fn equality_system_exact_solve() {
     assert_close(s.value(x), 2.0, 1e-7);
     assert_close(s.value(y), 1.0, 1e-7);
 }
-
-#[test]
-fn perturbed_certificate_accepts_degenerate_tight_row() {
-    // max z1+z2+z3 with z ∈ [0,1]³ and Σz ≤ 3: the optimum (1,1,1) is
-    // unique (each z pushes independently to its bound) but the capacity
-    // row is exactly tight with a zero multiplier — the classic degenerate
-    // pattern that strict complementarity rejects.
-    let mut p = Problem::new();
-    let z1 = p.add_var(0.0, 1.0, -1.0);
-    let z2 = p.add_var(0.0, 1.0, -1.0);
-    let z3 = p.add_var(0.0, 1.0, -1.0);
-    p.add_cons(&[(z1, 1.0), (z2, 1.0), (z3, 1.0)], Cmp::Le, 3.0);
-    let s = crate::Solution {
-        objective: -3.0,
-        x: vec![1.0, 1.0, 1.0],
-        duals: vec![0.0],
-    };
-    assert!(!crate::certify_unique_optimum(&p, &s));
-    assert!(crate::certify_unique_optimum_perturbed(&p, &s));
-
-    // The revised engine's own terminal state agrees: unique decision,
-    // degenerate basis.
-    let sol = p.solve_revised().unwrap().unwrap_optimal();
-    for j in 0..3 {
-        assert_close(sol.x[j], 1.0, 1e-9);
-    }
-    assert!(crate::certify_unique_optimum_perturbed(&p, &sol));
-}
-
-#[test]
-fn perturbed_certificate_refuses_alternative_optima() {
-    // max z1+z2 with z ∈ [0,1]² and z1+z2 ≤ 1: every split along the
-    // binding row is optimal. Neither certificate may accept.
-    let mut p = Problem::new();
-    let z1 = p.add_var(0.0, 1.0, -1.0);
-    let z2 = p.add_var(0.0, 1.0, -1.0);
-    p.add_cons(&[(z1, 1.0), (z2, 1.0)], Cmp::Le, 1.0);
-    // An interior optimum of the binding face (simplex never returns one,
-    // but the certificate must still refuse it).
-    let s = crate::Solution {
-        objective: -1.0,
-        x: vec![0.5, 0.5],
-        duals: vec![-1.0],
-    };
-    assert!(!crate::certify_unique_optimum_perturbed(&p, &s));
-    // A vertex optimum of the same face is refused by both certificates.
-    let v = crate::Solution {
-        objective: -1.0,
-        x: vec![1.0, 0.0],
-        duals: vec![-1.0],
-    };
-    assert!(!crate::certify_unique_optimum(&p, &v));
-    assert!(!crate::certify_unique_optimum_perturbed(&p, &v));
-}
-
-#[test]
-fn perturbed_certificate_pins_through_face_rows() {
-    // max z1 with z1 ∈ [0,2], z2 ∈ [0,1] free of cost, and z1 + z2 = 3:
-    // the unique optimum (2, 1) leaves z2 on its bound with a zero reduced
-    // cost (strict fails), but the equality row pins z2 once z1 is pinned
-    // by its reduced cost.
-    let mut p = Problem::new();
-    let z1 = p.add_var(0.0, 2.0, -1.0);
-    let z2 = p.add_var(0.0, 1.0, 0.0);
-    p.add_cons(&[(z1, 1.0), (z2, 1.0)], Cmp::Eq, 3.0);
-    let s = crate::Solution {
-        objective: -2.0,
-        x: vec![2.0, 1.0],
-        duals: vec![0.0],
-    };
-    assert!(!crate::certify_unique_optimum(&p, &s));
-    assert!(crate::certify_unique_optimum_perturbed(&p, &s));
-}

@@ -85,11 +85,13 @@ pub struct ScenarioSpec {
     /// fingerprints. `None` disables the count.
     pub decision_slo_seconds: Option<f64>,
     /// Run the horizon through the persistent cross-epoch
-    /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver): bases,
-    /// factorizations, Benders cuts and incumbents carry from epoch to
-    /// epoch. Admission decisions (and the report's
-    /// [`decision_fingerprint`](ScenarioReport::decision_fingerprint)) are
-    /// unchanged; LP-path telemetry shrinks to `O(churn)`.
+    /// [`EpochSolver`](ovnes::solver::epoch::EpochSolver): for Benders the
+    /// slave basis, factorization, cuts and incumbent carry from epoch to
+    /// epoch, and the one-shot MILP reuses the previous incumbent. KAC
+    /// carries nothing and decides exactly as a from-scratch run. A
+    /// carried Benders run may break ties differently from scratch, so its
+    /// [`decision_fingerprint`](ScenarioReport::decision_fingerprint) can
+    /// differ.
     pub incremental: bool,
 }
 
@@ -357,10 +359,6 @@ pub fn run_scenario_on(
     let mut lp_refactorizations = 0usize;
     let mut incremental_cold_epochs = 0usize;
     let mut recycled_cuts = 0usize;
-    let mut carry_cold_restarts = 0usize;
-    let mut carry_certified = 0usize;
-    let mut carry_certified_perturbed = 0usize;
-    let mut churn_carry_attempts = 0usize;
     let mut degraded_epochs = 0usize;
     let mut deferred_epochs = 0usize;
     let mut evictions = 0usize;
@@ -410,10 +408,6 @@ pub fn run_scenario_on(
         lp_pivots += out.solver_stats.lp.total_pivots();
         lp_refactorizations += out.solver_stats.lp.refactorizations;
         recycled_cuts += out.solver_stats.recycled_cuts;
-        carry_cold_restarts += out.solver_stats.carry_cold_restarts;
-        carry_certified += out.solver_stats.carry_certified;
-        carry_certified_perturbed += out.solver_stats.carry_certified_perturbed;
-        churn_carry_attempts += out.solver_stats.churn_carry_attempts;
         if let Some(inc) = &out.incremental {
             incremental_cold_epochs += usize::from(inc.cold_fallback);
         }
@@ -504,10 +498,6 @@ pub fn run_scenario_on(
         incremental: spec.incremental,
         incremental_cold_epochs,
         recycled_cuts,
-        carry_cold_restarts,
-        carry_certified,
-        carry_certified_perturbed,
-        churn_carry_attempts,
         degraded_epochs,
         deferred_epochs,
         evictions,

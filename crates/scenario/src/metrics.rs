@@ -113,10 +113,10 @@ pub struct ScenarioReport {
     pub lp_solves: usize,
     /// Simplex pivots across every epoch's AC-RR.
     pub lp_pivots: usize,
-    /// Basis refactorizations across every epoch's AC-RR. The headline
-    /// observable of cross-epoch incremental mode: a no-churn epoch whose
-    /// carried basis (and factorization) re-keys as the identity pays
-    /// **zero** of these.
+    /// Basis refactorizations across every epoch's AC-RR. Under
+    /// cross-epoch incremental mode a Benders epoch whose carried basis
+    /// re-keys as the identity reuses its factorization; KAC epochs carry
+    /// nothing and pay the same as a from-scratch run.
     pub lp_refactorizations: usize,
     /// The spec ran with the persistent cross-epoch [`EpochSolver`]
     /// (`ScenarioSpec::incremental`).
@@ -127,22 +127,6 @@ pub struct ScenarioReport {
     /// Recycled Benders cuts re-priced into epoch masters, summed over the
     /// horizon.
     pub recycled_cuts: usize,
-    /// Carried warm solves discarded mid-epoch because the LP uniqueness
-    /// certificate failed, forcing an in-solve cold restart (KAC only).
-    /// Unlike `incremental_cold_epochs` these are part of normal clean
-    /// operation, not fault degradation.
-    pub carry_cold_restarts: usize,
-    /// Carried warm solves that stood: the seeded solve certified at least
-    /// a unique optimal decision (KAC only).
-    pub carry_certified: usize,
-    /// Subset of [`ScenarioReport::carry_certified`] certified only by the
-    /// perturbation certificate — degenerate epochs the strict
-    /// complementarity test would have restarted cold.
-    pub carry_certified_perturbed: usize,
-    /// Churn epochs whose first shed/re-pack iteration attempted the
-    /// carried basis (the carried objective predicted the packed set
-    /// feasible).
-    pub churn_carry_attempts: usize,
     /// Epochs whose decision was degraded below a clean full solve
     /// (incumbent, greedy fallback or deferral).
     pub degraded_epochs: usize,
@@ -210,19 +194,15 @@ impl ScenarioReport {
         h.write_u64(u64::from(self.incremental));
         h.write_u64(self.incremental_cold_epochs as u64);
         h.write_u64(self.recycled_cuts as u64);
-        h.write_u64(self.carry_cold_restarts as u64);
-        h.write_u64(self.carry_certified as u64);
-        h.write_u64(self.carry_certified_perturbed as u64);
-        h.write_u64(self.churn_carry_attempts as u64);
     }
 
     /// Folds only the fields determined by the *admission decisions* —
     /// everything in [`ScenarioReport::hash_into`] except the solver-path
     /// telemetry (LP solves/pivots/refactorizations, recycled cuts, the
-    /// incremental markers). An incremental run and a from-scratch run of
-    /// the same spec make identical decisions by contract, so their
-    /// decision fingerprints must match bit-for-bit even though their
-    /// solve paths (and full fingerprints) legitimately differ.
+    /// incremental markers). A KAC run solves every epoch from scratch,
+    /// so its incremental and from-scratch decision fingerprints match; an
+    /// incremental Benders run may break ties differently and is not held
+    /// to that.
     pub fn hash_decision_into(&self, h: &mut Fnv64) {
         h.write_bytes(self.name.as_bytes());
         h.write_u64(self.epochs as u64);
@@ -263,8 +243,7 @@ impl ScenarioReport {
     }
 
     /// Fingerprint of the admission-decision trail only (see
-    /// [`ScenarioReport::hash_decision_into`]) — the bit-identity contract
-    /// between incremental and from-scratch runs of the same spec.
+    /// [`ScenarioReport::hash_decision_into`]).
     pub fn decision_fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         self.hash_decision_into(&mut h);

@@ -6,17 +6,17 @@
 //! to the full-scale Figs. 5–6 setup it reproduces (pass `scale = 1.0`
 //! through the builder to run the paper-size instance).
 
-use crate::driver::{build_model, ScenarioSpec, Workload};
+use crate::driver::{build_model, ScenarioSpec};
 use crate::faults::FaultPlan;
 use crate::workload::{ArrivalProcess, BurstEvent, ClassMix, DiurnalProfile};
 use ovnes::orchestrator::{InfraEvent, InfraEventKind};
-use ovnes::slice::{SliceClass, SliceTemplate};
+use ovnes::slice::SliceClass;
 use ovnes::solver::{SolveBudget, SolverKind};
 use ovnes::testbed;
 use ovnes_topology::operators::{CuKind, Operator};
 
 /// Every preset name [`preset`] resolves.
-pub const PRESET_NAMES: [&str; 16] = [
+pub const PRESET_NAMES: [&str; 12] = [
     "testbed-day",
     "fig5-n1",
     "fig5-n2",
@@ -29,10 +29,6 @@ pub const PRESET_NAMES: [&str; 16] = [
     "chaos-outage-n1",
     "chaos-budget-n1",
     "chaos-lpfault-n1",
-    "incremental-n1",
-    "chaos-incremental-n1",
-    "incremental-steady-n1",
-    "incremental-degenerate-n1",
 ];
 
 /// Resolves a named preset.
@@ -50,10 +46,6 @@ pub fn preset(name: &str) -> Option<ScenarioSpec> {
         "chaos-outage-n1" => chaos_outage(),
         "chaos-budget-n1" => chaos_budget(),
         "chaos-lpfault-n1" => chaos_lpfault(),
-        "incremental-n1" => incremental_n1(),
-        "chaos-incremental-n1" => chaos_incremental(),
-        "incremental-steady-n1" => incremental_steady(),
-        "incremental-degenerate-n1" => incremental_degenerate(),
         _ => return None,
     })
 }
@@ -312,210 +304,9 @@ pub fn chaos_lpfault() -> ScenarioSpec {
         .build()
 }
 
-/// The cross-epoch incremental workhorse on N1: a slow-churn KAC run —
-/// modest arrivals, long-lived slices — where most epochs differ from the
-/// previous by a handful of tenants, exactly the regime the persistent
-/// [`EpochSolver`](ovnes::solver::epoch::EpochSolver) turns into a few
-/// warm dual pivots. The scratch twin (`.incremental(false)`, same name)
-/// must produce a bit-identical decision fingerprint — the tests and the
-/// `scenario_incremental` bench probe both assert it.
-pub fn incremental_n1() -> ScenarioSpec {
-    ScenarioSpec::builder("incremental-n1")
-        .operator(Operator::Romanian, 0.025)
-        .days(2)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 0.8 };
-            w.duration.mean_epochs = 16.0;
-            w.population.alpha = (0.15, 0.3);
-            w.population.sigma_frac = (0.0, 0.4);
-        })
-        .reapply_epochs(6)
-        .seed(99)
-        .incremental(true)
-        .build()
-}
-
-/// [`incremental_n1`] under chaos: background BS/link/CU faults invalidate
-/// recycled cuts and force revalidation epochs, and seeded LP fault
-/// injection poisons carried bases — every such epoch must degrade cleanly
-/// to a cold solve (never an error) while the decision trail stays
-/// bit-identical to the from-scratch twin. Deliberately **unbudgeted**:
-/// pivot-metered budgets would truncate warm and scratch runs at different
-/// algorithmic points, making decision identity impossible by design.
-pub fn chaos_incremental() -> ScenarioSpec {
-    let mut plan = FaultPlan {
-        seed: 991,
-        ..FaultPlan::default()
-    };
-    plan.lp_fault_seed = Some(5151);
-    ScenarioSpec::builder("chaos-incremental-n1")
-        .operator(Operator::Romanian, 0.025)
-        .days(1)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 0.8 };
-            w.duration.mean_epochs = 12.0;
-            w.population.alpha = (0.15, 0.3);
-        })
-        .reapply_epochs(6)
-        .seed(101)
-        .faults(plan)
-        .incremental(true)
-        .build()
-}
-
-/// The O(churn) showcase: an opening flash of long-lived slices (every
-/// burst slice outlives the horizon), then **zero** arrivals and zero
-/// departures for the rest of the run — after the settle window every
-/// epoch is a pure no-churn revalidation of the same forced tenant set.
-/// On those epochs the carried basis re-keys as the identity, the
-/// persisted factorization is reused (zero refactorizations), and the
-/// only simplex work is the handful of dual pivots that forecast drift
-/// (an RHS-only perturbation) demands. The `scenario_incremental` bench
-/// probe measures the steady window by running a settle-length prefix and
-/// subtracting.
-pub fn incremental_steady() -> ScenarioSpec {
-    ScenarioSpec::builder("incremental-steady-n1")
-        .operator(Operator::Romanian, 0.025)
-        .horizon(64)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
-            // One wave per epoch with a distinct (class, α): identical
-            // requests would build exchangeable LP columns whose ties leave
-            // the vetting optimum non-unique — uncertifiable, so the carry
-            // would cold-restart every epoch instead of warm-starting.
-            w.bursts = [
-                (SliceClass::Embb, 0.31),
-                (SliceClass::Mmtc, 0.17),
-                (SliceClass::Urllc, 0.26),
-                (SliceClass::Embb, 0.22),
-                (SliceClass::Mmtc, 0.29),
-                (SliceClass::Urllc, 0.19),
-            ]
-            .iter()
-            .enumerate()
-            .map(|(k, &(class, alpha))| BurstEvent {
-                start_epoch: k as u32,
-                duration_epochs: 1,
-                extra_rate: 1.5,
-                class,
-                alpha,
-                // Outlives the horizon: no slice ever departs.
-                slice_epochs: 64,
-            })
-            .collect();
-        })
-        .reapply_epochs(2)
-        .seed(202)
-        .incremental(true)
-        .build()
-}
-
-/// The degenerate-optimum showcase: a homogeneous burst of **identical**
-/// uRLLC slices (same class, same α, σ = 0 — deterministic traffic), all
-/// pinned to the single delay-feasible edge CU, plus a scripted capacity
-/// loss that shrinks that CU to within certificate tolerance (≈1e−9
-/// relative slack, well inside the 1e−7 tightness test) of the steady
-/// optimum's exact compute load. Every steady epoch then solves to the
-/// same all-at-Λ vertex with the CU row *tight but slack-basic* (zero
-/// multiplier): strict complementarity fails — under the old single
-/// certificate the carry cold-restarted every epoch — while the
-/// perturbation certificate pins every leg to its bound and lets the
-/// carried basis stand. A mid-horizon flash of short-lived identical
-/// requests overflows the shrunken CU's reservation floors, so the first
-/// all-in vet goes infeasible and the churn-epoch first-shed carry path
-/// gets exercised (the binding-row ties those epochs create are genuine
-/// alternative optima, which both certificates must keep refusing).
-pub fn incremental_degenerate() -> ScenarioSpec {
-    let base = ScenarioSpec::builder("incremental-degenerate-n1")
-        .operator(Operator::Romanian, 0.025)
-        .horizon(64)
-        .tune_workload(|w| {
-            w.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
-            // Flat deterministic traffic: σ = 0 and no diurnal swing, so
-            // identical requests stay bit-identical LP columns for the
-            // whole horizon.
-            w.population.sigma_frac = (0.0, 0.0);
-            w.traffic_diurnal = None;
-            w.bursts = vec![
-                // The incumbents: identical long-lived uRLLC slices whose
-                // 5 ms budget pins them all to the edge CU.
-                BurstEvent {
-                    start_epoch: 0,
-                    duration_epochs: 1,
-                    extra_rate: 3.0,
-                    class: SliceClass::Urllc,
-                    alpha: 0.3,
-                    slice_epochs: 64,
-                },
-                // The churn wave: identical short-lived requests that
-                // (once past the operator prior) overflow the shrunken
-                // CU's forecast floors and force shed iterations.
-                BurstEvent {
-                    start_epoch: 30,
-                    duration_epochs: 1,
-                    extra_rate: 10.0,
-                    class: SliceClass::Urllc,
-                    alpha: 0.3,
-                    slice_epochs: 4,
-                },
-            ];
-        })
-        .reapply_epochs(6)
-        .seed(303)
-        .incremental(true)
-        .decision_slo_seconds(0.25)
-        .build();
-    // Engineer the degeneracy: shrink the edge CU to (1 + 1e−9)× the
-    // incumbents' exact full-SLA compute load. The margin keeps the
-    // all-at-Λ vertex strictly feasible (the row never *binds*, so the
-    // optimum stays the unique exact-bound vertex) while sitting far
-    // inside the certificates' 1e−7 relative tightness tolerance.
-    let model = build_model(&base);
-    let incumbents = match &base.workload {
-        Workload::Generated(w) => w
-            .generate(base.seed, base.horizon_epochs)
-            .iter()
-            .filter(|r| r.duration_epochs as usize >= base.horizon_epochs)
-            .count(),
-        Workload::Explicit(_) => unreachable!("degenerate preset generates its workload"),
-    };
-    let urllc = SliceTemplate::urllc();
-    let n_bs = model.base_stations.len() as f64;
-    let full_load_cores = incumbents as f64 * n_bs * urllc.service.cores_per_mbps * urllc.sla_mbps;
-    let (edge_cu, edge_cores) = model
-        .compute_units
-        .iter()
-        .enumerate()
-        .find(|(_, u)| u.kind == CuKind::Edge)
-        .map(|(i, u)| (i, u.cores))
-        .expect("generated topologies always carry an edge CU");
-    let factor = full_load_cores * (1.0 + 1e-9) / edge_cores;
-    assert!(
-        factor < 1.0,
-        "degenerate preset needs the incumbents to underfill the edge CU \
-         (got {incumbents} incumbents, factor {factor})"
-    );
-    let plan = FaultPlan::scripted_only(vec![InfraEvent {
-        epoch: 10,
-        kind: InfraEventKind::CuCapacityLoss {
-            cu: edge_cu,
-            factor,
-        },
-    }]);
-    ScenarioSpec {
-        faults: Some(plan),
-        ..base
-    }
-}
-
 /// The chaos presets as one sweep (the CI chaos-smoke leg).
 pub fn chaos_sweep() -> Vec<ScenarioSpec> {
-    vec![
-        chaos_outage(),
-        chaos_budget(),
-        chaos_lpfault(),
-        chaos_incremental(),
-    ]
+    vec![chaos_outage(), chaos_budget(), chaos_lpfault()]
 }
 
 /// A short CI-smoke preset per operator: one simulated half-day at tiny

@@ -34,18 +34,7 @@ Run by the CI bench-smoke job. Validates that the snapshot
   outage storm with the storm actually biting: infrastructure events
   applied, at least one degraded epoch (the starved solve budget bound),
   at least one eviction with its SLA-break penalty booked, and a
-  bit-identical replay (deterministic flag + fingerprint), and
-* shows the cross-epoch incremental probes (`scenario_incremental`)
-  honouring the O(churn) contract: decisions bit-identical to the
-  from-scratch driver at every worker count and zero cold fallbacks on
-  both fault-free runs; the steady probe additionally with zero
-  uniqueness-certificate restarts, a >= 3x steady-window pivot
-  reduction, and zero refactorizations across the no-churn steady
-  epochs (the identity basis remap must keep the persisted
-  factorization); and the degenerate probe with the perturbation
-  certificate actually standing carries (perturbed-only certifications
-  and churn-epoch first-shed carry attempts >= 1, cold restarts below
-  certifications) and its declared decision-latency SLO unviolated.
+  bit-identical replay (deterministic flag + fingerprint).
 
 Exit code 0 on success, 1 with a message per violation otherwise.
 """
@@ -192,58 +181,7 @@ REQUIRED_FIELDS = {
         "fingerprint",
         "wall_seconds",
     ],
-    "scenario_incremental": [
-        "scale",
-        "name",
-        "epochs",
-        "decision_match",
-        "worker_invariant",
-        "carry_cold_restarts",
-        "incremental_cold_epochs",
-        "carry_certified",
-        "carry_certified_perturbed",
-        "churn_carry_attempts",
-        "warm_mean_decision_seconds",
-        "warm_max_decision_seconds",
-        "decision_slo_seconds",
-        "slo_violations",
-        "warm_wall_seconds",
-        "cold_wall_seconds",
-    ],
 }
-
-# Extra per-name columns of the scenario_incremental family: only the
-# steady probe isolates a settle-subtracted window, so only it carries the
-# steady-window pivot/refactorization telemetry.
-SCENARIO_INCREMENTAL_EXTRA = {
-    "incremental-steady-n1": [
-        "steady_epochs",
-        "steady_warm_pivots",
-        "steady_cold_pivots",
-        "pivot_ratio",
-        "steady_warm_refactorizations",
-        "steady_cold_refactorizations",
-        "cold_mean_decision_seconds",
-        "cold_max_decision_seconds",
-        "obs_enabled",
-        "span_coverage",
-        "phase_revalidate_share",
-        "phase_forecast_share",
-        "phase_solve_share",
-        "phase_admit_share",
-        "phase_simulate_share",
-    ],
-}
-
-# Span-derived phase-share columns of the obs-enabled steady probe: each
-# is a fraction of the traced `scenario` root span.
-PHASE_SHARE_FIELDS = [
-    "phase_revalidate_share",
-    "phase_forecast_share",
-    "phase_solve_share",
-    "phase_admit_share",
-    "phase_simulate_share",
-]
 
 EXPECTED_SCALES = {"small", "paper", "10x_paper", "100x_paper"}
 
@@ -472,119 +410,6 @@ def main() -> int:
             if not (isinstance(fp, str) and fp.startswith("0x") and len(fp) == 18):
                 errors.append(f"{tag}: fingerprint '{fp}' is not a 64-bit hex string")
 
-        if bench == "scenario_incremental":
-            name = entry.get("name", "")
-            for field in SCENARIO_INCREMENTAL_EXTRA.get(name, []):
-                if field not in entry:
-                    errors.append(f"{tag}: missing field '{field}' for '{name}'")
-            if entry.get("decision_match") is not True:
-                errors.append(
-                    f"{tag}: incremental decisions diverged from the "
-                    "from-scratch driver (bit-identity contract broken)"
-                )
-            if entry.get("worker_invariant") is not True:
-                errors.append(
-                    f"{tag}: incremental run diverged across worker counts"
-                )
-            if entry.get("incremental_cold_epochs", 1) != 0:
-                errors.append(
-                    f"{tag}: a fault-free steady run fell back to "
-                    f"{entry.get('incremental_cold_epochs')} cold epochs"
-                )
-            slo = entry.get("decision_slo_seconds")
-            if slo is not None:
-                if entry.get("slo_violations", 1) != 0:
-                    errors.append(
-                        f"{tag}: {entry.get('slo_violations')} epochs broke "
-                        f"the {slo}s decision-latency SLO"
-                    )
-                if entry.get("warm_max_decision_seconds", float("inf")) > slo:
-                    errors.append(
-                        f"{tag}: max decision latency "
-                        f"{entry.get('warm_max_decision_seconds')}s exceeds "
-                        f"the {slo}s SLO"
-                    )
-            if name == "incremental-steady-n1":
-                # The steady probe runs with observability recording hot:
-                # its decision_match / worker_invariant gates above are
-                # also the tracing-never-perturbs-results oracle, so the
-                # probe must actually have traced.
-                if entry.get("obs_enabled") is not True:
-                    errors.append(
-                        f"{tag}: steady probe ran without observability "
-                        "enabled — the obs-on bit-identity oracle is dead"
-                    )
-                if entry.get("span_coverage", 0.0) < 0.8:
-                    errors.append(
-                        f"{tag}: span coverage {entry.get('span_coverage')} "
-                        "below 0.8 — the trace no longer accounts for the "
-                        "warm run's wall-clock"
-                    )
-                share_sum = 0.0
-                for field in PHASE_SHARE_FIELDS:
-                    share = entry.get(field, -1.0)
-                    if not 0.0 <= share <= 1.0:
-                        errors.append(f"{tag}: {field} {share} outside [0, 1]")
-                    else:
-                        share_sum += share
-                if share_sum > 1.05:
-                    errors.append(
-                        f"{tag}: phase shares sum to {share_sum:.3f} — "
-                        "phases overlap or the root span shrank"
-                    )
-                if entry.get("phase_solve_share", 0.0) <= 0.0:
-                    errors.append(
-                        f"{tag}: solve phase share is zero — the epoch "
-                        "solve span went missing"
-                    )
-                if entry.get("carry_cold_restarts", 1) != 0:
-                    errors.append(
-                        f"{tag}: {entry.get('carry_cold_restarts')} carried "
-                        "solves failed the uniqueness certificates — the "
-                        "steady workload has degenerate vetting optima"
-                    )
-                if entry.get("steady_epochs", 0) < 32:
-                    errors.append(
-                        f"{tag}: steady window {entry.get('steady_epochs')} "
-                        "epochs is too short to dominate the horizon"
-                    )
-                ratio = entry.get("pivot_ratio", 0.0)
-                if ratio < 3.0:
-                    errors.append(
-                        f"{tag}: steady-window pivot reduction x{ratio:.2f} is "
-                        "below the 3x O(churn) floor"
-                    )
-                if entry.get("steady_warm_refactorizations", 1) != 0:
-                    errors.append(
-                        f"{tag}: {entry.get('steady_warm_refactorizations')} "
-                        "refactorizations on no-churn epochs — the identity "
-                        "basis remap lost the persisted factorization"
-                    )
-            if name == "incremental-degenerate-n1":
-                if entry.get("decision_slo_seconds") is None:
-                    errors.append(
-                        f"{tag}: the degenerate probe must declare a "
-                        "decision-latency SLO"
-                    )
-                if entry.get("carry_certified_perturbed", 0) < 1:
-                    errors.append(
-                        f"{tag}: no steady epoch certified through the "
-                        "perturbation certificate — the degenerate-optimum "
-                        "carry is back to always-cold"
-                    )
-                if entry.get("churn_carry_attempts", 0) < 1:
-                    errors.append(
-                        f"{tag}: no churn epoch attempted the first-shed carry"
-                    )
-                if entry.get("carry_cold_restarts", 1) >= entry.get(
-                    "carry_certified", 0
-                ):
-                    errors.append(
-                        f"{tag}: cold restarts "
-                        f"{entry.get('carry_cold_restarts')} not reduced below "
-                        f"certifications {entry.get('carry_certified')}"
-                    )
-
         if bench == "scenario_sweep":
             if entry.get("deterministic") is not True:
                 errors.append(
@@ -620,7 +445,6 @@ def main() -> int:
             "scenario_day",
             "scenario_sweep",
             "scenario_outage",
-            "scenario_incremental",
         ):
             want = {"paper"}
         elif bench == "benders_bnb":

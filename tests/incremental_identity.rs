@@ -1,18 +1,19 @@
-//! The ISSUE-7 bit-identity contract of cross-epoch incremental
-//! re-optimization: a horizon driven through the persistent
-//! [`EpochSolver`] must make **exactly** the same admission decisions as
-//! the from-scratch driver — at any worker count, and under chaos — while
-//! paying measurably less solve work. Decision identity is stated on
-//! [`ScenarioReport::decision_fingerprint`], which hashes the full
-//! decision trail (admissions, revenue trajectory, violations, degraded /
-//! deferred epochs) but not the solver-path telemetry the incremental
-//! machinery legitimately changes (pivots, refactorizations, recycled
-//! cuts).
+//! Cross-epoch incremental mode against the from-scratch driver.
 //!
-//! The Benders incremental path gets an *objective*-equality check at the
-//! solver layer instead of decision identity in isolation: recycled cuts
-//! and a seeded incumbent can surface a different vertex among ties, and
-//! the master's optimum — not the tie-break — is the contract.
+//! KAC carries nothing across epochs, so a KAC horizon driven through the
+//! persistent [`EpochSolver`] must match its scratch twin exactly: the
+//! same decision trail *and* the same LP work. Decision identity is stated
+//! on [`ScenarioReport::decision_fingerprint`], which hashes the full
+//! decision trail (admissions, revenue trajectory, violations, degraded /
+//! deferred epochs) but not the solver-path telemetry.
+//!
+//! The Benders carry (basis remap, recycled cuts, incumbent seeding) gets
+//! an *objective*-equality check at the solver layer instead: recycled
+//! cuts and a seeded incumbent can surface a different vertex among ties,
+//! and the master's optimum — not the tie-break — is the contract.
+//!
+//! [`EpochSolver`]: ovnes::solver::epoch::EpochSolver
+//! [`ScenarioReport::decision_fingerprint`]: ovnes_scenario::ScenarioReport::decision_fingerprint
 
 use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
@@ -20,6 +21,8 @@ use ovnes::solver::slave::{LpCarry, RecycledCut};
 use ovnes::solver::{benders, SolverKind};
 use ovnes_scenario::driver::{run_scenario, ScenarioSpec};
 use ovnes_scenario::presets;
+use ovnes_scenario::workload::ArrivalProcess;
+use ovnes_scenario::FaultPlan;
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 
 /// The from-scratch twin of an incremental spec: identical in every field
@@ -31,47 +34,77 @@ fn scratch_twin(spec: &ScenarioSpec) -> ScenarioSpec {
     twin
 }
 
-/// Clean-path identity: the incremental-n1 preset (slow-churn KAC) must
-/// reproduce the scratch twin's decision trail bit-for-bit while paying
-/// strictly fewer simplex pivots over the horizon — the O(churn) claim,
-/// observed end-to-end.
+/// A slow-churn incremental KAC run on N1: modest arrivals, long-lived
+/// slices, so most epochs differ from the previous by a handful of
+/// tenants.
+fn slow_churn_kac() -> ScenarioSpec {
+    ScenarioSpec::builder("incremental-n1")
+        .operator(Operator::Romanian, 0.025)
+        .days(2)
+        .tune_workload(|w| {
+            w.arrivals = ArrivalProcess::Poisson { rate: 0.8 };
+            w.duration.mean_epochs = 16.0;
+            w.population.alpha = (0.15, 0.3);
+            w.population.sigma_frac = (0.0, 0.4);
+        })
+        .reapply_epochs(6)
+        .seed(99)
+        .incremental(true)
+        .build()
+}
+
+/// An incremental KAC run under chaos: background BS/link/CU faults force
+/// revalidation epochs, and seeded LP fault injection sends epochs down
+/// the degrade-to-cold path. Unbudgeted, so decisions cannot depend on
+/// where a pivot meter runs out.
+fn chaos_kac() -> ScenarioSpec {
+    let mut plan = FaultPlan {
+        seed: 991,
+        ..FaultPlan::default()
+    };
+    plan.lp_fault_seed = Some(5151);
+    ScenarioSpec::builder("chaos-incremental-n1")
+        .operator(Operator::Romanian, 0.025)
+        .days(1)
+        .tune_workload(|w| {
+            w.arrivals = ArrivalProcess::Poisson { rate: 0.8 };
+            w.duration.mean_epochs = 12.0;
+            w.population.alpha = (0.15, 0.3);
+        })
+        .reapply_epochs(6)
+        .seed(101)
+        .faults(plan)
+        .incremental(true)
+        .build()
+}
+
+/// KAC under `incremental(true)` is scratch KAC: the same decision trail
+/// and exactly the same LP solves, pivots and refactorizations.
 #[test]
 fn incremental_n1_decisions_match_scratch_twin() {
-    let spec = presets::incremental_n1();
+    let spec = slow_churn_kac();
     let warm = run_scenario(&spec).expect("incremental run");
     let cold = run_scenario(&scratch_twin(&spec)).expect("scratch run");
     assert!(warm.incremental && !cold.incremental);
+    assert!(warm.accepted > 0, "horizon admitted nothing");
+    assert_eq!(warm.incremental_cold_epochs, 0);
+    assert_eq!(
+        (warm.lp_solves, warm.lp_pivots, warm.lp_refactorizations),
+        (cold.lp_solves, cold.lp_pivots, cold.lp_refactorizations),
+        "incremental KAC did different LP work than scratch KAC"
+    );
     assert_eq!(
         warm.decision_fingerprint(),
         cold.decision_fingerprint(),
         "incremental decisions diverged from the from-scratch driver"
     );
-    assert_eq!(
-        warm.incremental_cold_epochs, 0,
-        "clean run must never fall back cold"
-    );
-    assert!(warm.accepted > 0, "horizon admitted nothing");
-    assert!(
-        warm.lp_pivots < cold.lp_pivots,
-        "incremental ({}) must pay fewer pivots than scratch ({})",
-        warm.lp_pivots,
-        cold.lp_pivots
-    );
-    assert!(
-        warm.lp_refactorizations < cold.lp_refactorizations,
-        "incremental ({}) must refactorize less than scratch ({})",
-        warm.lp_refactorizations,
-        cold.lp_refactorizations
-    );
 }
 
-/// Chaos-path identity: background BS/link/CU faults plus seeded LP fault
-/// injection (the `chaos-incremental-n1` preset) poison carried bases and
-/// invalidate recycled cuts — epochs must degrade to cold solves, never to
-/// errors, and the decision trail must still match the scratch twin.
+/// The same identity under chaos: faults degrade epochs, never error, and
+/// the decision trail still matches the scratch twin.
 #[test]
 fn chaos_incremental_decisions_match_scratch_twin() {
-    let spec = presets::chaos_incremental();
+    let spec = chaos_kac();
     let warm = run_scenario(&spec).expect("chaos incremental run");
     let cold = run_scenario(&scratch_twin(&spec)).expect("chaos scratch run");
     assert_eq!(
@@ -80,159 +113,41 @@ fn chaos_incremental_decisions_match_scratch_twin() {
         "chaos incremental decisions diverged from the from-scratch driver"
     );
     assert_eq!(warm.solver_errors, 0, "faults must degrade, not error");
-    assert!(warm.infra_events > 0, "chaos preset applied no faults");
+    assert!(warm.infra_events > 0, "chaos spec applied no faults");
 }
 
 /// Worker invariance of the incremental path itself: the full fingerprint
 /// (decision trail *plus* pivot-level incremental telemetry) of an
 /// incremental run is bit-identical at 1, 2, and 4 branch-and-bound
-/// workers — including on a budgeted Benders chaos horizon where carried
-/// bases, recycled cuts, and the seeded incumbent are all active.
+/// workers, on a budgeted Benders chaos horizon where carried bases,
+/// recycled cuts, and the seeded incumbent are all active.
 #[test]
 fn incremental_runs_bit_identical_across_bnb_threads() {
-    for base in [presets::incremental_n1(), {
-        let mut s = presets::chaos_outage();
-        s.incremental = true;
-        s
-    }] {
-        let mut spec = base;
-        spec.threads = 1;
-        let serial = run_scenario(&spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        for threads in [2usize, 4] {
-            spec.threads = threads;
-            let par = run_scenario(&spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-            assert_eq!(
-                serial.fingerprint(),
-                par.fingerprint(),
-                "{}: incremental trajectory diverged at {threads} workers",
-                spec.name
-            );
-        }
+    let mut spec = presets::chaos_outage();
+    spec.incremental = true;
+    spec.threads = 1;
+    let serial = run_scenario(&spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    for threads in [2usize, 4] {
+        spec.threads = threads;
+        let par = run_scenario(&spec).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        assert_eq!(
+            serial.fingerprint(),
+            par.fingerprint(),
+            "{}: incremental trajectory diverged at {threads} workers",
+            spec.name
+        );
     }
 }
 
-/// The from-scratch twin must also be unaffected by the spec's
-/// `incremental` flag flowing through the sweep plumbing: running the
-/// chaos-incremental scratch twin twice gives the same full fingerprint
-/// (run-to-run determinism of the new presets).
+/// Running the chaos scratch twin twice gives the same full fingerprint:
+/// the `incremental` flag flowing through the sweep plumbing leaves the
+/// from-scratch run deterministic.
 #[test]
 fn chaos_incremental_scratch_twin_is_run_to_run_deterministic() {
-    let spec = scratch_twin(&presets::chaos_incremental());
+    let spec = scratch_twin(&chaos_kac());
     let a = run_scenario(&spec).expect("first run");
     let b = run_scenario(&spec).expect("second run");
     assert_eq!(a.fingerprint(), b.fingerprint());
-}
-
-/// The O(churn) claim on the steady-state preset: after the opening flash
-/// settles, every epoch re-vets the same forced tenant set, and the
-/// carried basis must make those epochs nearly free — ≥3× fewer simplex
-/// pivots than the from-scratch driver and **zero** refactorizations over
-/// the whole steady window (identity remap ⇒ the persisted factorization
-/// is reused). The steady window is isolated by running a settle-length
-/// prefix and subtracting; prefix stability of the horizon is asserted
-/// first so the subtraction is sound.
-#[test]
-fn incremental_steady_no_churn_epochs_are_nearly_free() {
-    const SETTLE: usize = 16;
-    let full = presets::incremental_steady();
-    let mut settle = full.clone();
-    settle.horizon_epochs = SETTLE;
-    let warm_full = run_scenario(&full).expect("steady incremental run");
-    let warm_settle = run_scenario(&settle).expect("settle incremental run");
-    let cold_full = run_scenario(&scratch_twin(&full)).expect("steady scratch run");
-    let cold_settle = run_scenario(&scratch_twin(&settle)).expect("settle scratch run");
-    assert_eq!(
-        warm_full.decision_fingerprint(),
-        cold_full.decision_fingerprint(),
-        "steady incremental decisions diverged from the from-scratch driver"
-    );
-    for i in 0..SETTLE {
-        assert_eq!(
-            warm_full.revenue_trajectory[i].to_bits(),
-            warm_settle.revenue_trajectory[i].to_bits(),
-            "horizon prefix instability at epoch {i}: the settle subtraction is unsound"
-        );
-    }
-    assert!(warm_full.accepted > 0, "the opening flash admitted nothing");
-    assert_eq!(warm_full.incremental_cold_epochs, 0);
-    assert_eq!(
-        warm_full.carry_cold_restarts, 0,
-        "steady epochs must certify unique optima, not restart cold"
-    );
-    let steady_warm = warm_full.lp_pivots - warm_settle.lp_pivots;
-    let steady_cold = cold_full.lp_pivots - cold_settle.lp_pivots;
-    assert!(
-        steady_cold as f64 >= 3.0 * steady_warm.max(1) as f64,
-        "steady-window pivot reduction below 3x: warm {steady_warm} vs cold {steady_cold}"
-    );
-    // Exact path counter: seeded LP fault injection deliberately drops
-    // factorizations mid-chain (changing the path, never the answer — the
-    // decision-fingerprint assert above still holds), so only check it on
-    // uninjected runs.
-    if !ovnes_lp::fault_injection_active() {
-        assert_eq!(
-            warm_full.lp_refactorizations - warm_settle.lp_refactorizations,
-            0,
-            "a no-churn steady epoch refactorized: the identity remap lost the factorization"
-        );
-    }
-}
-
-/// The degenerate-optimum fix, observed end-to-end: on the homogeneous
-/// `incremental-degenerate-n1` preset the engineered tight-but-slack CU
-/// row makes strict complementarity fail on every steady epoch, so before
-/// the perturbation certificate the carry cold-restarted **every** one of
-/// them. Now the perturbed certificate must let the carried basis stand on
-/// the steady window (perturbed-only certifications > 0), churn epochs
-/// must attempt the first-shed carry, cold restarts must be the exception
-/// rather than the rule — and the decision trail must stay bit-identical
-/// to the from-scratch driver at 1, 2, and 4 workers.
-#[test]
-fn incremental_degenerate_certifies_perturbed_and_matches_scratch() {
-    let base = presets::incremental_degenerate();
-    let mut warm1 = None;
-    for threads in [1usize, 2, 4] {
-        let mut spec = base.clone();
-        spec.threads = threads;
-        let warm = run_scenario(&spec).expect("degenerate incremental run");
-        let cold = run_scenario(&scratch_twin(&spec)).expect("degenerate scratch run");
-        assert_eq!(
-            warm.decision_fingerprint(),
-            cold.decision_fingerprint(),
-            "degenerate incremental decisions diverged from scratch at {threads} workers"
-        );
-        if let Some(first) = &warm1 {
-            let first: &ovnes_scenario::ScenarioReport = first;
-            assert_eq!(
-                first.fingerprint(),
-                warm.fingerprint(),
-                "degenerate incremental trajectory diverged at {threads} workers"
-            );
-        } else {
-            warm1 = Some(warm);
-        }
-    }
-    let warm = warm1.expect("serial run recorded");
-    assert!(warm.accepted > 0, "the homogeneous burst admitted nothing");
-    assert!(warm.infra_events > 0, "the scripted CU shrink never fired");
-    assert!(
-        warm.carry_certified_perturbed > 0,
-        "no steady epoch certified through the perturbation certificate \
-         (the degenerate pathology is back to always-cold)"
-    );
-    assert!(
-        warm.churn_carry_attempts > 0,
-        "no churn epoch attempted the first-shed carry"
-    );
-    // The fix's headline: before the perturbation certificate every seeded
-    // steady epoch restarted cold; now certification is the common case
-    // and restarts the exception (genuine alternative-optima epochs).
-    assert!(
-        warm.carry_cold_restarts < warm.carry_certified,
-        "cold restarts ({}) not reduced below certifications ({})",
-        warm.carry_cold_restarts,
-        warm.carry_certified
-    );
 }
 
 fn tiny_model() -> NetworkModel {

@@ -13,13 +13,14 @@ use std::sync::{Mutex, MutexGuard};
 use ovnes_scenario::driver::run_scenario;
 use ovnes_scenario::presets;
 
-/// Pre-`ovnes-obs` fingerprints (full telemetry + decision-only) for the
-/// two pinned presets, identical at 1/2/4 B&B threads.
+/// Fingerprints (full telemetry + decision-only) for the two pinned
+/// presets, identical at 1/2/4 B&B threads. The decision pins predate
+/// `ovnes-obs`.
 const PINNED: &[(&str, u64, u64)] = &[
-    ("fig5-n1", 0xa002_d91e_4b6c_366e, 0xc5c6_25d5_de9f_6ac3),
+    ("fig5-n1", 0x9a4b_b64b_4d5c_ff6e, 0xc5c6_25d5_de9f_6ac3),
     (
         "chaos-outage-n1",
-        0xeb47_a6d8_e27d_1846,
+        0xcd3d_d436_f16c_f546,
         0x702b_c576_984d_e831,
     ),
 ];
