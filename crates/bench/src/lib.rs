@@ -13,6 +13,11 @@
 //! All binaries print aligned text tables/series to stdout; pass `--full`
 //! where supported to run the paper-size grid instead of the quick default
 //! (EXPERIMENTS.md records which grid produced the committed numbers).
+//!
+//! [`probes`] holds the fixed solver instances shared by the `solvers`
+//! bench and the `solver_contracts` test.
+
+pub mod probes;
 
 /// Returns true when `--full` was passed on the command line.
 pub fn full_mode() -> bool {

@@ -334,9 +334,12 @@ pub struct EpochOutcome {
     /// Cross-epoch incremental telemetry; `None` when the orchestrator runs
     /// with [`OrchestratorConfig::incremental`] off.
     pub incremental: Option<IncrementalReport>,
-    /// Enforced reservations in excess of current capacity, summed per
-    /// resource class: (radio MHz, transport Mb/s, compute cores) — the
-    /// same order as [`EpochOutcome::deficit`]. Bounded by the deficit the
+    /// The largest enforced reservation in excess of its element's current
+    /// capacity, per resource class: (radio MHz, transport Mb/s, compute
+    /// cores) — the same order as [`EpochOutcome::deficit`]; 0 when no
+    /// element is over. The AC-RR relaxation has one deficit variable per
+    /// domain, shared by every capacity row of that domain, so it bounds
+    /// each element's excess, not their sum. Bounded by the deficit the
     /// big-M relaxation reported (plus stale reservations on deferred
     /// epochs); the chaos suite asserts the bound.
     pub overcommit: (f64, f64, f64),
@@ -759,7 +762,6 @@ impl Orchestrator {
             round_width: self.config.round_width,
             budget: self.config.budget,
             lp_fault: self.config.lp_fault,
-            refactor_interval: 0,
         };
         let solve_span = ovnes_obs::span!("solve");
         let solve_started = Instant::now();
@@ -979,21 +981,22 @@ impl Orchestrator {
             cu_load[a.cu] += t.service.base_cores + t.service.cores_per_mbps * sum_load;
         }
 
-        // 8b. Overcommit audit: enforced reservations in excess of the
-        // (possibly degraded) capacities, per resource class. On solved
-        // epochs this is bounded by the big-M deficit; on deferred epochs
-        // stale reservations may exceed link capacity until the next solve.
-        let mut over_radio = 0.0;
+        // 8b. Overcommit audit: the largest enforced reservation in excess
+        // of its element's (possibly degraded) capacity, per resource
+        // class. On solved epochs this is bounded by the big-M deficit; on
+        // deferred epochs stale reservations may exceed link capacity
+        // until the next solve.
+        let mut over_radio = 0.0f64;
         for b in 0..n_bs {
-            over_radio += (bs_reserved[b] - self.model.base_stations[b].capacity_mhz).max(0.0);
+            over_radio = over_radio.max(bs_reserved[b] - self.model.base_stations[b].capacity_mhz);
         }
-        let mut over_cu = 0.0;
+        let mut over_cu = 0.0f64;
         for (c, reserved) in cu_reserved.iter().enumerate() {
-            over_cu += (reserved - self.model.compute_units[c].cores).max(0.0);
+            over_cu = over_cu.max(reserved - self.model.compute_units[c].cores);
         }
-        let mut over_link = 0.0;
+        let mut over_link = 0.0f64;
         for (&gid, &reserved) in &link_reserved {
-            over_link += (reserved - self.model.graph.link(LinkId(gid)).capacity_mbps).max(0.0);
+            over_link = over_link.max(reserved - self.model.graph.link(LinkId(gid)).capacity_mbps);
         }
 
         // 9. Ageing: expire slices whose duration elapsed.

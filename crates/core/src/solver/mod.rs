@@ -192,12 +192,6 @@ pub struct SolveControls {
     /// pure function of (seed, matrix fingerprint, basis summary), so it is
     /// thread-count invariant.
     pub lp_fault: Option<ovnes_lp::FaultConfig>,
-    /// LP basis refactorization interval — Forrest–Tomlin updates folded
-    /// into a factorization before the engine rebuilds it from scratch
-    /// (0 ⇒ engine default: `OVNES_LP_REFACTOR_INTERVAL` or 128). Threaded
-    /// into every rung of the ladder, like `lp_fault`. A numerical-drift
-    /// bound, not a cost bound; results are identical at any interval.
-    pub refactor_interval: usize,
 }
 
 impl SolveControls {
@@ -211,9 +205,6 @@ impl SolveControls {
         let mut simplex = ovnes_lp::SimplexOptions::default();
         if self.lp_fault.is_some() {
             simplex.fault = self.lp_fault;
-        }
-        if self.refactor_interval > 0 {
-            simplex.refactor_interval = self.refactor_interval;
         }
         kac::KacOptions {
             simplex,
@@ -303,9 +294,6 @@ pub(crate) fn milp_options_for(controls: &SolveControls) -> ovnes_milp::MilpOpti
     controls.budget.apply_milp(&mut milp_options);
     if controls.lp_fault.is_some() {
         milp_options.simplex.fault = controls.lp_fault;
-    }
-    if controls.refactor_interval > 0 {
-        milp_options.simplex.refactor_interval = controls.refactor_interval;
     }
     milp_options
 }

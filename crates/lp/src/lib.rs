@@ -112,8 +112,8 @@
 //! *identical* to the retained rescan path — same tie-breaks, same
 //! threshold-partial-pivoting stability test — so both produce bitwise-equal
 //! factors; the proptest suite asserts exactly that, and
-//! [`LpStats::pivot_scan_work`] counts candidate inspections so benches can
-//! show the asymptotic win (the `lu_factor` probe in `BENCH_solvers.json`).
+//! [`LpStats::pivot_scan_work`] counts candidate inspections, so the bench
+//! crate's `solver_contracts` test can gate the asymptotic win.
 //!
 //! **Forrest–Tomlin updates.** A basis change replaces one column of the
 //! basis matrix. Instead of appending a product-form eta (whose file grows

@@ -737,8 +737,8 @@ mod warm_chain_props {
                     );
                     // +1 slack: a degenerate-lucky cold start can prove its
                     // outcome with zero pivots where the warm re-solve pays
-                    // a single closing pivot (same rationale as the bench
-                    // snapshot gate).
+                    // a single closing pivot (same rationale as the
+                    // bench crate's `solver_contracts` gates).
                     let cold = p.solve_warm(None).unwrap();
                     prop_assert!(
                         warm.stats.total_pivots() <= cold.stats.total_pivots() + 1,

@@ -272,21 +272,10 @@ pub fn build_model(spec: &ScenarioSpec) -> NetworkModel {
     }
 }
 
-/// Runs one scenario end to end.
-pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, AcrrError> {
-    run_scenario_on(spec, build_model(spec))
-}
-
-/// Runs one scenario on a pre-built model (reuse across ablation pairs).
-pub fn run_scenario_on(
-    spec: &ScenarioSpec,
-    model: NetworkModel,
-) -> Result<ScenarioReport, AcrrError> {
-    let _scenario_span = ovnes_obs::span!("scenario");
-    let obs_on = ovnes_obs::enabled();
-    let t0 = Instant::now();
-    let generate_span = ovnes_obs::span!("generate");
-    let generate_started = obs_on.then(Instant::now);
+/// The scenario's request stream, in arrival order (arrival order within
+/// an epoch is preserved: generated streams are already sorted, explicit
+/// lists may not be).
+pub(crate) fn requests_for(spec: &ScenarioSpec) -> Vec<SliceRequest> {
     let mut requests: Vec<SliceRequest> = match &spec.workload {
         Workload::Generated(w) => w.generate(spec.seed, spec.horizon_epochs),
         Workload::Explicit(reqs) => reqs
@@ -295,20 +284,17 @@ pub fn run_scenario_on(
             .cloned()
             .collect(),
     };
-    // Arrival order within an epoch is preserved (generated streams are
-    // already sorted; explicit lists may not be).
     requests.sort_by_key(|r| r.arrival_epoch);
-    let arrivals = requests.len();
-    let phase_generate_seconds =
-        generate_started.map_or(0.0, |started| started.elapsed().as_secs_f64());
-    drop(generate_span);
+    requests
+}
 
-    // Static capacities, captured before the model moves into the
-    // orchestrator.
-    let bs_capacity: Vec<f64> = model.base_stations.iter().map(|b| b.capacity_mhz).collect();
-    let cu_capacity: Vec<f64> = model.compute_units.iter().map(|c| c.cores).collect();
-    let link_capacity: Vec<f64> = model.graph.links().map(|(_, l)| l.capacity_mbps).collect();
-
+/// The scenario's orchestrator on `model`, with its fault schedule.
+pub(crate) fn orchestrator_for(spec: &ScenarioSpec, model: NetworkModel) -> Orchestrator {
+    let dims = (
+        model.base_stations.len(),
+        model.graph.links().count(),
+        model.compute_units.len(),
+    );
     let mut config = OrchestratorConfig {
         solver: spec.solver,
         overbooking: spec.overbooking,
@@ -329,15 +315,41 @@ pub fn run_scenario_on(
     let mut orch = Orchestrator::new(model, config);
     if let Some(plan) = &spec.faults {
         // Recoveries scheduled past the horizon simply never fire.
-        for event in plan.expand(
-            bs_capacity.len(),
-            link_capacity.len(),
-            cu_capacity.len(),
-            spec.horizon_epochs as u32,
-        ) {
+        for event in plan.expand(dims.0, dims.1, dims.2, spec.horizon_epochs as u32) {
             orch.schedule_event(event);
         }
     }
+    orch
+}
+
+/// Runs one scenario end to end.
+pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport, AcrrError> {
+    run_scenario_on(spec, build_model(spec))
+}
+
+/// Runs one scenario on a pre-built model (reuse across ablation pairs).
+pub fn run_scenario_on(
+    spec: &ScenarioSpec,
+    model: NetworkModel,
+) -> Result<ScenarioReport, AcrrError> {
+    let _scenario_span = ovnes_obs::span!("scenario");
+    let obs_on = ovnes_obs::enabled();
+    let t0 = Instant::now();
+    let generate_span = ovnes_obs::span!("generate");
+    let generate_started = obs_on.then(Instant::now);
+    let requests = requests_for(spec);
+    let arrivals = requests.len();
+    let phase_generate_seconds =
+        generate_started.map_or(0.0, |started| started.elapsed().as_secs_f64());
+    drop(generate_span);
+
+    // Static capacities, captured before the model moves into the
+    // orchestrator.
+    let bs_capacity: Vec<f64> = model.base_stations.iter().map(|b| b.capacity_mhz).collect();
+    let cu_capacity: Vec<f64> = model.compute_units.iter().map(|c| c.cores).collect();
+    let link_capacity: Vec<f64> = model.graph.links().map(|(_, l)| l.capacity_mbps).collect();
+
+    let mut orch = orchestrator_for(spec, model);
 
     // Streaming aggregation state.
     let mut accepted = 0usize;

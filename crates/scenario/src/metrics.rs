@@ -22,8 +22,8 @@ pub struct CdfSummary {
     pub p90: f64,
     /// 99th percentile. Derived from the same sorted sample vector as
     /// the hashed quantiles but **excluded** from [`CdfSummary`]'s hash:
-    /// every pre-existing fingerprint gate (bench snapshot, CI sweep
-    /// assertions) pins hashes computed without it, and the sample
+    /// every pre-existing fingerprint gate (pinned test fingerprints, CI
+    /// sweep assertions) pins hashes computed without it, and the sample
     /// vector's identity is already pinned by count/mean/p50/p90/max.
     pub p99: f64,
     /// Maximum.
@@ -253,7 +253,7 @@ impl ScenarioReport {
 
 /// FNV-1a 64-bit: a tiny, explicit, build-stable hasher. The std
 /// `DefaultHasher` is randomly keyed per process, which would defeat the
-/// cross-run fingerprint comparisons the bench snapshot records.
+/// cross-run fingerprint comparisons the pinned tests rely on.
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 

@@ -3,11 +3,14 @@
 //! over-allocation after shrinkage, balanced accounting, and bit-identical
 //! sweep fingerprints at any worker count.
 
-use crate::driver::run_scenario;
+use crate::driver::{build_model, orchestrator_for, requests_for, run_scenario, ScenarioSpec};
 use crate::faults::FaultPlan;
 use crate::presets;
 use crate::sweep::run_sweep;
-use ovnes::orchestrator::{InfraEvent, InfraEventKind, Orchestrator, OrchestratorConfig};
+use crate::workload::{ArrivalProcess, DurationModel};
+use ovnes::orchestrator::{
+    EpochOutcome, InfraEvent, InfraEventKind, Orchestrator, OrchestratorConfig,
+};
 use ovnes::slice::{SliceRequest, SliceTemplate};
 use ovnes::solver::SolverKind;
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
@@ -93,10 +96,58 @@ fn chaos_sweep_is_bit_identical_at_any_worker_count() {
     assert!(r1.total_evictions > 0);
 }
 
-/// After every shrinkage event, enforced radio/compute reservations never
-/// exceed the surviving capacity by more than the deficit the big-M
-/// relaxation explicitly priced (transport is audited but excluded: a
-/// deferred epoch may carry stale link reservations by design).
+/// Radio and compute overcommit within the deficit the big-M relaxation
+/// priced (transport is audited but excluded: a deferred epoch may carry
+/// stale link reservations by design).
+fn assert_overcommit_within_deficit(out: &EpochOutcome, context: &str) {
+    let epoch = out.epoch;
+    assert!(
+        out.overcommit.0 <= out.deficit.0 + 1e-6,
+        "{context} epoch {epoch}: radio overcommit {} exceeds deficit {}",
+        out.overcommit.0,
+        out.deficit.0,
+    );
+    assert!(
+        out.overcommit.2 <= out.deficit.2 + 1e-6,
+        "{context} epoch {epoch}: compute overcommit {} exceeds deficit {}",
+        out.overcommit.2,
+        out.deficit.2,
+    );
+}
+
+/// Epochs of [`steady_week`] the overcommit check runs: through epoch 47,
+/// the first on which several elements of one class overflow together, so
+/// the sum of their excesses exceeds the deficit that bounds each of them.
+const STEADY_HORIZON: usize = 48;
+
+/// A fault-free week of long-lived KAC slices on 5 base stations (the
+/// `steady-week` benchmark workload, seed 1), cut at [`STEADY_HORIZON`].
+/// Over the full week, several elements of one class overflow together on
+/// 39 of its 168 epochs.
+fn steady_week() -> ScenarioSpec {
+    ScenarioSpec::builder("steady-week")
+        .operator(Operator::Romanian, 0.025)
+        .horizon(STEADY_HORIZON)
+        .threads(1)
+        .round_width(8)
+        .seed(1)
+        .solver(SolverKind::Kac)
+        .reapply_epochs(6)
+        .tune_workload(|w| {
+            w.arrivals = ArrivalProcess::Poisson { rate: 0.8 };
+            w.duration = DurationModel {
+                mean_epochs: 48.0,
+                max_epochs: 168,
+            };
+            w.population.alpha = (0.15, 0.3);
+            w.population.sigma_frac = (0.0, 0.5);
+        })
+        .build()
+}
+
+/// After every shrinkage event, and on every epoch of a steady week,
+/// enforced radio/compute reservations never exceed the surviving capacity
+/// of any element by more than the deficit the big-M relaxation priced.
 #[test]
 fn shrinkage_never_overcommits_radio_or_compute() {
     let model = small_model(5);
@@ -150,20 +201,20 @@ fn shrinkage_never_overcommits_radio_or_compute() {
     for epoch in 0..10 {
         let out = orch.step().expect("chaos epochs must not error");
         assert_eq!(out.epoch, epoch);
-        assert!(
-            out.overcommit.0 <= out.deficit.0 + 1e-6,
-            "epoch {epoch}: radio overcommit {} exceeds deficit {}",
-            out.overcommit.0,
-            out.deficit.0,
-        );
-        assert!(
-            out.overcommit.2 <= out.deficit.2 + 1e-6,
-            "epoch {epoch}: compute overcommit {} exceeds deficit {}",
-            out.overcommit.2,
-            out.deficit.2,
-        );
+        assert_overcommit_within_deficit(&out, "storm");
         assert_eq!(out.bs_reserved_mhz.len(), n_bs);
         assert_eq!(out.cu_reserved_cores.len(), n_cu);
+    }
+
+    let spec = steady_week();
+    let mut orch = orchestrator_for(&spec, build_model(&spec));
+    let mut arrivals = requests_for(&spec).into_iter().peekable();
+    for epoch in 0..spec.horizon_epochs as u32 {
+        while arrivals.peek().is_some_and(|r| r.arrival_epoch <= epoch) {
+            orch.submit(arrivals.next().expect("peeked arrival"));
+        }
+        let out = orch.step().expect("steady epochs must not error");
+        assert_overcommit_within_deficit(&out, "steady-week");
     }
 }
 
