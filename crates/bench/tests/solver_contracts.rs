@@ -4,11 +4,11 @@
 //! long-step dual ratio test, dual devex and candidate-list pricing
 //! reached: a change that makes the warm path pivot more fails here.
 //!
-//! The slave probes run under `probes::pinned_options`, so the ambient
+//! Every probe runs under `probes::pinned_options`, so the ambient
 //! `OVNES_LP_FAULT_SEED` and `OVNES_LP_REFACTOR_INTERVAL` cannot move
-//! their counters. The Benders slave takes the ambient fault plan unless
-//! its caller sets one, so the Benders counter gates stand down under
-//! ambient fault injection; its warm == cold objective check still runs.
+//! its counters: the slave probes take them directly, and Benders takes
+//! them as its master's simplex options, whose fault plan and
+//! refactorization interval its slave LP inherits.
 
 use ovnes::solver::benders;
 use ovnes::solver::slave::SlaveContext;
@@ -110,10 +110,11 @@ fn warm_benders_matches_cold_in_fewer_pivots() {
     for ((label, scale, tenants), max_pivots) in SCALES.into_iter().zip(MAX_BENDERS_PIVOTS) {
         let inst = instance_at(scale, tenants, true);
         let solve = |warm_start| {
-            let options = benders::BendersOptions {
+            let mut options = benders::BendersOptions {
                 warm_start,
                 ..benders::BendersOptions::default()
             };
+            options.milp.simplex = pinned_options();
             benders::solve(&inst, &options).expect("Benders solve")
         };
         let (warm, cold) = (solve(true), solve(false));
@@ -123,9 +124,6 @@ fn warm_benders_matches_cold_in_fewer_pivots() {
             warm.objective,
             cold.objective
         );
-        if ovnes_lp::fault_injection_active() {
-            continue;
-        }
         let (wp, cp) = (warm.stats.lp.total_pivots(), cold.stats.lp.total_pivots());
         assert!(
             wp <= max_pivots,

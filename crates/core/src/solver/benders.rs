@@ -31,7 +31,9 @@ pub struct BendersOptions {
     pub epsilon: f64,
     /// Node budget, worker-thread count, and simplex options per master
     /// MILP solve (`milp.threads` is the parallel branch-and-bound knob —
-    /// admission decisions are deterministic in it).
+    /// admission decisions are deterministic in it). The slave LP takes
+    /// `milp.simplex.fault` and `milp.simplex.refactor_interval` too, but
+    /// never its `max_iterations`.
     pub milp: MilpOptions,
     /// Reuse bases across iterations: the slave re-prices warm from the
     /// previous admission's basis and the master resumes its stored root
@@ -141,17 +143,16 @@ pub fn solve_carried(
     // `Milp` is equally persistent — cuts append rows, so its stored root
     // basis stays valid and every re-solve starts with dual-simplex pivots.
     let mut slave = SlaveContext::new(instance);
-    {
-        // The slave inherits the caller's fault plan (so chaos presets hit
-        // the pricing LPs too) but *not* the master's pivot budget: solve
-        // budgets meter the master's node relaxations, the slave must always
-        // be allowed to finish pricing (see `SolveControls` docs).
-        let mut slave_simplex = SimplexOptions::default();
-        if options.milp.simplex.fault.is_some() {
-            slave_simplex.fault = options.milp.simplex.fault;
-        }
-        slave.set_simplex_options(slave_simplex);
-    }
+    // The slave takes the caller's fault plan (so chaos presets hit the
+    // pricing LPs too, and `None` turns injection off) and refactorization
+    // interval, but *not* the master's pivot budget: solve budgets meter
+    // the master's node relaxations, the slave must always be allowed to
+    // finish pricing (see `SolveControls` docs).
+    slave.set_simplex_options(SimplexOptions {
+        fault: options.milp.simplex.fault,
+        refactor_interval: options.milp.simplex.refactor_interval,
+        ..SimplexOptions::default()
+    });
     if !options.warm_start {
         slave.set_warm(false);
     }

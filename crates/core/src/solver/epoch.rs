@@ -14,12 +14,12 @@
 //! * Benders **cuts** are kept as raw dual certificates
 //!   ([`RecycledCut`]) and re-priced against the new epoch's data, so the
 //!   master starts with last epoch's polyhedral knowledge;
-//! * the previous **admission** seeds the branch-and-bound incumbent, so
-//!   exact solvers prove optimality instead of rediscovering it.
+//! * the previous **admission** seeds the Benders incumbent, so the master
+//!   proves optimality instead of rediscovering it.
 //!
-//! The carried basis and cuts serve Benders, the incumbent serves Benders
-//! and the one-shot MILP. KAC carries nothing: its epochs are plain
-//! [`kac::solve`] calls, identical to a from-scratch run.
+//! All three serve Benders only. KAC and the one-shot MILP carry nothing:
+//! their epochs are plain [`kac::solve`] / [`oneshot::solve_with`] calls,
+//! identical to a from-scratch run.
 //!
 //! Infrastructure events (PR 6) only change row capacities, which
 //! re-pricing already absorbs; they do, however, make cuts whose
@@ -33,7 +33,7 @@
 //! cleanly to a from-scratch [`solve_controlled`] (and the carried state is
 //! reset), never to an error the orchestrator wouldn't survive.
 
-use super::slave::{LpCarry, RecycledCut, RowKey, SlaveContext, SlaveResult};
+use super::slave::{LpCarry, RecycledCut, RowKey};
 use super::{
     baseline, benders, benders_options_for, kac, milp_options_for, oneshot, solve_controlled,
     AcrrError, ControlledOutcome, Degradation, SolveControls, SolverKind,
@@ -161,10 +161,7 @@ impl EpochSolver {
                     prev.as_deref(),
                 )?
             }
-            SolverKind::OneShot => {
-                let bound = self.oneshot_bound(instance, controls);
-                oneshot::solve_with_incumbent(instance, &milp_options_for(controls), bound)?
-            }
+            SolverKind::OneShot => oneshot::solve_with(instance, &milp_options_for(controls))?,
             // The no-overbooking baseline is a comparison policy, not an
             // operational path — it intentionally solves from scratch.
             SolverKind::NoOverbooking => {
@@ -197,35 +194,8 @@ impl EpochSolver {
         )
     }
 
-    /// Evaluates the remembered admission against this epoch's instance and
-    /// returns a branch-and-bound cutoff for the one-shot MILP — slightly
-    /// relaxed (`+ abs_gap + ε`) so the true optimum is never pruned.
-    /// `None` whenever the admission no longer qualifies (forced tenant
-    /// uncovered, CU no longer allowed, slave evaluation failed).
-    fn oneshot_bound(&self, instance: &AcrrInstance, controls: &SolveControls) -> Option<f64> {
-        let prev = self.mapped_prev(instance)?;
-        let usable = prev.iter().enumerate().all(|(t, c)| match c {
-            Some(c) => *c < instance.n_cu && instance.cu_allowed[t][*c],
-            None => !instance.tenants[t].must_accept,
-        });
-        if !usable {
-            return None;
-        }
-        let mut slave = SlaveContext::new(instance);
-        let SlaveResult::Feasible { value, .. } = slave.solve_for(&prev).ok()? else {
-            return None;
-        };
-        let mut fixed = 0.0;
-        for (t, c) in prev.iter().enumerate() {
-            if let Some(c) = c {
-                fixed += instance.gamma(t, *c)?;
-            }
-        }
-        Some(fixed + value + milp_options_for(controls).abs_gap + 1e-6)
-    }
-
     /// Records this epoch's admission (when one was made) for the next
-    /// epoch's incumbent seeding. A deferred epoch keeps the previous
+    /// epoch's Benders incumbent seeding. A deferred epoch keeps the previous
     /// record — the orchestrator keeps the previous reservations in force,
     /// so that admission is still the operative one.
     fn remember(&mut self, instance: &AcrrInstance, outcome: &ControlledOutcome) {

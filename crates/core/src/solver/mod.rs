@@ -73,46 +73,13 @@ impl From<ovnes_lp::SolveError> for AcrrError {
     }
 }
 
-/// Dispatches an instance to the chosen solver (branch-and-bound worker
-/// count from [`ovnes_milp::default_threads`]).
+/// Dispatches an instance to the chosen solver with default controls
+/// (branch-and-bound worker count from [`ovnes_milp::default_threads`],
+/// round width from [`ovnes_milp::default_round_width`], no budget). Set
+/// [`SolveControls`] and call [`solve_budgeted`] for explicit knobs.
 pub fn solve(instance: &AcrrInstance, kind: SolverKind) -> Result<Allocation, AcrrError> {
-    solve_threaded(instance, kind, ovnes_milp::default_threads())
-}
-
-/// Dispatches with an explicit branch-and-bound worker count — the knob the
-/// orchestrator threads down from
-/// [`OrchestratorConfig::threads`](crate::orchestrator::OrchestratorConfig).
-/// Every MILP-backed solver (Benders master, one-shot, baseline) fans its
-/// node relaxations across that many workers; KAC is LP-only and ignores
-/// it. Results are deterministic in `threads` for all solvers.
-pub fn solve_threaded(
-    instance: &AcrrInstance,
-    kind: SolverKind,
-    threads: usize,
-) -> Result<Allocation, AcrrError> {
-    // round_width 0: the engine default — `OVNES_MILP_ROUND_WIDTH` when
-    // set, otherwise the queue-depth-adaptive policy.
-    solve_tuned(instance, kind, threads, 0)
-}
-
-/// Dispatches with both branch-and-bound knobs explicit: `threads` (purely
-/// a wall-clock lever, results identical at any value) and `round_width`
-/// (the nodes-per-deterministic-round window; 0 ⇒ the engine default,
-/// which is queue-depth adaptive — results are bit-identical at any worker
-/// count *for a fixed width policy*, but different policies walk different
-/// search sequences). Callers that fingerprint solver telemetry (the
-/// scenario sweeps) pin `round_width` so their reports never depend on the
-/// ambient `OVNES_MILP_ROUND_WIDTH` or the adaptive policy.
-pub fn solve_tuned(
-    instance: &AcrrInstance,
-    kind: SolverKind,
-    threads: usize,
-    round_width: usize,
-) -> Result<Allocation, AcrrError> {
     let controls = SolveControls {
         kind,
-        threads,
-        round_width,
         ..SolveControls::default()
     };
     solve_budgeted(instance, &controls)
@@ -256,9 +223,15 @@ pub struct ControlledOutcome {
     pub error: Option<AcrrError>,
 }
 
-/// [`solve_tuned`] with a [`SolveBudget`] and optional LP fault plan, no
-/// fallback: budget truncation returns `Ok` with `stats.truncated` set;
-/// errors propagate.
+/// Dispatches under explicit [`SolveControls`] — algorithm, parallelism
+/// knobs, [`SolveBudget`] and optional LP fault plan — with no fallback:
+/// budget truncation returns `Ok` with `stats.truncated` set; errors
+/// propagate.
+///
+/// `threads` is purely a wall-clock lever (results are identical at any
+/// value). `round_width` picks the nodes-per-deterministic-round window;
+/// different width policies walk different search sequences, so callers
+/// that fingerprint solver telemetry (the scenario sweeps) pin it.
 pub fn solve_budgeted(
     instance: &AcrrInstance,
     controls: &SolveControls,

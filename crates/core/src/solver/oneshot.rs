@@ -13,53 +13,14 @@ use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 /// Solves the AC-RR instance as a single MILP (worker count from
 /// [`ovnes_milp::default_threads`]).
 pub fn solve(instance: &AcrrInstance) -> Result<Allocation, AcrrError> {
-    solve_threaded(instance, ovnes_milp::default_threads())
+    solve_with(instance, &MilpOptions::default())
 }
 
-/// [`solve`] with an explicit branch-and-bound worker count — the one-shot
-/// tree is the deepest in the codebase, so it benefits the most from the
-/// parallel node fan-out. Results are deterministic in `threads`.
-pub fn solve_threaded(instance: &AcrrInstance, threads: usize) -> Result<Allocation, AcrrError> {
-    solve_tuned(instance, threads, ovnes_milp::default_round_width())
-}
-
-/// [`solve_threaded`] with the nodes-per-round window also explicit
-/// (`None` ⇒ queue-depth adaptive, see
-/// [`ovnes_milp::MilpOptions::round_width`]); results are deterministic in
-/// `threads` for any fixed `round_width` policy.
-pub fn solve_tuned(
-    instance: &AcrrInstance,
-    threads: usize,
-    round_width: Option<usize>,
-) -> Result<Allocation, AcrrError> {
-    let options = MilpOptions {
-        threads: threads.max(1),
-        round_width: round_width.map(|w| w.max(1)),
-        ..Default::default()
-    };
-    solve_with(instance, &options)
-}
-
-/// [`solve_tuned`] with full [`MilpOptions`] — the budget-aware entry point
+/// [`solve`] with explicit [`MilpOptions`] — the budget-aware entry point
 /// ([`solve_budgeted`](super::solve_budgeted) folds node/pivot/wall limits
 /// and LP fault injection in here). A node- or wall-limited tree returns
 /// its best incumbent with `stats.truncated` set.
 pub fn solve_with(instance: &AcrrInstance, options: &MilpOptions) -> Result<Allocation, AcrrError> {
-    solve_with_incumbent(instance, options, None)
-}
-
-/// [`solve_with`] with an optional warm branch-and-bound cutoff: the
-/// objective of a known-feasible admission (e.g. last epoch's, re-evaluated
-/// against this epoch's instance). The caller must pass a *slightly relaxed*
-/// bound — `objective + abs_gap + ε` — because the search prunes nodes at
-/// `bound ≥ cutoff − abs_gap` and would otherwise prune the optimum itself.
-/// Seeding only changes which nodes are explored, never the returned
-/// objective.
-pub fn solve_with_incumbent(
-    instance: &AcrrInstance,
-    options: &MilpOptions,
-    incumbent_bound: Option<f64>,
-) -> Result<Allocation, AcrrError> {
     if !instance.forced_feasible() {
         return Err(AcrrError::ForcedInfeasible);
     }
@@ -196,9 +157,6 @@ pub fn solve_with_incumbent(
         milp.mark_integer(*v);
     }
     milp.set_options(options.clone());
-    if let Some(bound) = incumbent_bound {
-        milp.set_incumbent_bound(bound);
-    }
     let sol = match milp.solve()? {
         MilpOutcome::Optimal(s) => s,
         MilpOutcome::Infeasible => return Err(AcrrError::Infeasible),

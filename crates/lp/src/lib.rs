@@ -13,19 +13,13 @@
 //! the sanctioned offline crate set, so this crate substitutes for it (see
 //! DESIGN.md §2).
 //!
-//! ## The two engines
+//! ## One engine, plus test oracles
 //!
-//! **Dense tableau** ([`simplex`], the original engine): a two-phase primal
-//! simplex over the full tableau. Bounds are canonicalised away — lower
-//! bounds shifted, upper-only bounds mirrored, free variables split, finite
-//! upper bounds expanded into internal `≤` rows — so every solve is cold and
-//! the working matrix grows with the number of finite bounds. It favours
-//! simplicity and has served as the reference implementation; it remains the
-//! cross-check oracle in the test suite.
-//!
-//! **Bounded-variable revised simplex** ([`revised`], the production
-//! engine): box bounds are handled natively (no mirror/split/ub-row
-//! blowup), and the linear algebra is **sparse end to end**. The structural
+//! **Bounded-variable revised simplex** ([`revised`]) is the only engine in
+//! the production build: [`Problem::solve`] and [`Problem::solve_with`] run
+//! it cold, [`Problem::solve_warm`] and its siblings run it warm. Box
+//! bounds are handled natively (no mirror/split/ub-row blowup), and the
+//! linear algebra is **sparse end to end**. The structural
 //! constraint matrix is stored in compressed-sparse-column form
 //! ([`SparseMatrix`], built by [`Problem::structural_matrix`]); the basis is
 //! kept factorized by a **sparse LU with bucketed Markowitz pivoting** —
@@ -58,6 +52,23 @@
 //! [`SimplexOptions::ratio_tie_tol`] / [`SimplexOptions::flip_tol`], and
 //! [`LpStats::bound_flips`], [`LpStats::pricing_scans`], and
 //! [`LpStats::candidate_refreshes`] observe the new machinery.
+//!
+//! **Oracles behind `testgen`.** The slow twins the engine is checked
+//! against are compiled only for this crate's tests and for dependents
+//! that enable the `testgen` feature (test and bench targets, never a
+//! production build):
+//!
+//! * `dense::solve` — the original two-phase primal simplex over the full
+//!   tableau. Bounds are canonicalised away (lower bounds shifted,
+//!   upper-only bounds mirrored, free variables split, finite upper bounds
+//!   expanded into internal `≤` rows), so every solve is cold. It is the
+//!   simple specification the revised engine must refine: the differential
+//!   tests call it by name and compare outcomes, objectives and
+//!   certificates.
+//! * `revised::Lu` — the dense LU the sparse FTRAN/BTRAN are checked
+//!   against.
+//! * `revised::SparseLu::factor_rescan` — the pre-bucketing Markowitz
+//!   factorization, bitwise equal to the bucketed one.
 //!
 //! ## The `Basis` contract
 //!
@@ -100,7 +111,7 @@
 //! ## Factorization internals
 //!
 //! Three mechanisms keep the per-pivot linear algebra sublinear in the
-//! basis dimension `m`; each has a slow twin retained as its oracle.
+//! basis dimension `m`; each has a slow twin kept as its test oracle.
 //!
 //! **Bucketed Markowitz pivot selection.** The factorization maintains,
 //! per elimination stage, a column → active-rows adjacency (the transpose
@@ -228,18 +239,20 @@
 //! assert_eq!(re.stats.warm_starts, 1);
 //! ```
 
+#[cfg(any(test, feature = "testgen"))]
+pub mod dense;
 mod model;
 pub mod revised;
-mod simplex;
 pub mod sparse;
+mod types;
 
 pub use model::{Cmp, ConsId, Problem, VarId};
 pub use revised::{Basis, LpStats, WarmSolve, Workspace};
-pub use simplex::{
+pub use sparse::SparseMatrix;
+pub use types::{
     default_refactor_interval, fault_injection_active, Farkas, FaultConfig, Outcome,
     SimplexOptions, Solution, SolveError,
 };
-pub use sparse::SparseMatrix;
 
 #[cfg(test)]
 mod tests;

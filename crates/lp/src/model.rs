@@ -1,8 +1,8 @@
 //! Problem builder: variables with bounds, sparse linear constraints, and a
 //! linear minimisation objective.
 
-use crate::simplex::{self, Outcome, SimplexOptions, SolveError};
 use crate::sparse::SparseMatrix;
+use crate::types::{Outcome, SimplexOptions, SolveError};
 
 /// Handle to a decision variable, returned by [`Problem::add_var`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -214,22 +214,18 @@ impl Problem {
         SparseMatrix::from_columns(self.cons.len(), &cols)
     }
 
-    /// Solves the program with default simplex options.
+    /// Solves the program cold with default simplex options.
     pub fn solve(&self) -> Result<Outcome, SolveError> {
         self.solve_with(&SimplexOptions::default())
     }
 
-    /// Solves the program with explicit simplex options.
+    /// Solves the program cold with explicit simplex options: a
+    /// [`Problem::solve_warm_with`] from no basis, keeping only the outcome.
     pub fn solve_with(&self, options: &SimplexOptions) -> Result<Outcome, SolveError> {
-        simplex::solve(self, options)
+        self.solve_warm_with(None, options).map(|w| w.outcome)
     }
 
-    /// Solves with the revised (bounded-variable) engine, cold.
-    pub fn solve_revised(&self) -> Result<Outcome, SolveError> {
-        crate::revised::solve(self, &SimplexOptions::default())
-    }
-
-    /// Solves with the revised engine, resuming from `warm` when supplied;
+    /// Solves resuming from `warm` when supplied;
     /// returns the outcome plus a basis reusable for the next perturbed
     /// solve (see the crate docs for the warm-start contract).
     pub fn solve_warm(&self, warm: Option<&crate::Basis>) -> Result<crate::WarmSolve, SolveError> {

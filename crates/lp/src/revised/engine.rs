@@ -77,7 +77,7 @@
 use super::canon::Canon;
 use super::lu::{Factorization, SolveScratch, SparseLu};
 use super::{LpStats, VarStatus};
-use crate::simplex::{Farkas, SolveError};
+use crate::types::{Farkas, SolveError};
 use crate::SimplexOptions;
 
 /// Minimum pivot magnitude accepted in a basis change.

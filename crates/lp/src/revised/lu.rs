@@ -36,9 +36,10 @@
 //! count still equals the bucket index). Popping therefore yields the
 //! lowest-index column of minimum count — the *same* pivot the old
 //! full-rescan selection chose, in O(log m) amortized instead of Θ(m) per
-//! stage. The rescan implementation is retained as
-//! [`SparseLu::factor_rescan`] as the bench baseline and test oracle; both
-//! report their selection effort through [`SparseLu::pivot_scan_work`].
+//! stage. The rescan implementation is kept as `SparseLu::factor_rescan`,
+//! the test oracle and the `solver_contracts` baseline (test builds and
+//! `testgen` only); both report their selection effort through
+//! [`SparseLu::pivot_scan_work`].
 //!
 //! Singularity is declared *relative to the matrix scale*: a pivot candidate
 //! must exceed [`SINGULAR_TOL`]`·max|B|`, so a badly scaled but perfectly
@@ -74,8 +75,9 @@
 //! into a sibling's solves (copy-on-compress). All solve intermediates live
 //! in the caller's [`SolveScratch`].
 //!
-//! The classic dense LU ([`Lu`]) is retained as the slow-path oracle for
-//! tests and cross-checks.
+//! The classic dense LU (`Lu`) is the slow-path oracle for tests and
+//! cross-checks; like `SparseLu::factor_rescan` it is compiled only for
+//! tests and under the `testgen` feature.
 
 use std::sync::Arc;
 
@@ -109,8 +111,9 @@ const HYPERSPARSE_DIM_MIN: usize = 64;
 ///
 /// Storage is the classic packed form: `f` holds `U` on and above the
 /// diagonal and the unit-lower-triangular `L` (without its diagonal) below.
-/// Retained as the reference oracle; production solves use [`SparseLu`].
-#[cfg_attr(not(test), allow(dead_code))]
+/// The reference oracle (test builds and the `testgen` feature only);
+/// production solves use [`SparseLu`].
+#[cfg(any(test, feature = "testgen"))]
 #[derive(Debug, Clone)]
 pub struct Lu {
     m: usize,
@@ -119,7 +122,7 @@ pub struct Lu {
     piv: Vec<usize>,
 }
 
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(any(test, feature = "testgen"))]
 impl Lu {
     /// Factorizes a dense `m × m` matrix given in row-major order.
     ///
@@ -647,10 +650,10 @@ impl SparseLu {
     /// rule, but pivot selection rescans every active column (Θ(m) per
     /// stage) and gathers the pivot column by probing every active row.
     ///
-    /// Retained as the `lu_factor` bench baseline and as the equivalence
-    /// oracle for the bucketed path's property tests; its selection effort
-    /// is likewise reported through [`SparseLu::pivot_scan_work`].
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
+    /// The equivalence oracle for the bucketed path's property tests and the
+    /// baseline of the `solver_contracts` scan-work gate; its selection
+    /// effort is likewise reported through [`SparseLu::pivot_scan_work`].
+    #[cfg(any(test, feature = "testgen"))]
     pub fn factor_rescan<F>(m: usize, mut col: F) -> Option<SparseLu>
     where
         F: FnMut(usize, &mut Vec<(u32, f64)>),
@@ -902,7 +905,7 @@ impl SparseLu {
     /// The factors are immutable: all intermediate state goes into
     /// `scratch` (resized as needed, every read position written first), so
     /// concurrent solves of one factorization only need distinct scratches.
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
+    #[cfg(any(test, feature = "testgen"))]
     pub fn solve(&self, v: &mut [f64], scratch: &mut Vec<f64>) {
         let m = self.m;
         debug_assert_eq!(v.len(), m);
@@ -942,7 +945,7 @@ impl SparseLu {
     ///
     /// Same contract as [`SparseLu::solve`]: immutable factors, all state in
     /// the caller's scratch.
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
+    #[cfg(any(test, feature = "testgen"))]
     pub fn solve_t(&self, w: &mut [f64], scratch: &mut Vec<f64>) {
         let m = self.m;
         debug_assert_eq!(w.len(), m);
@@ -1165,7 +1168,7 @@ pub struct SolveScratch {
 
 impl SolveScratch {
     /// Fresh scratch (buffers grow on demand).
-    #[cfg_attr(not(any(test, feature = "testgen")), allow(dead_code))]
+    #[cfg(any(test, feature = "testgen"))]
     pub fn new() -> SolveScratch {
         SolveScratch::default()
     }
@@ -1540,13 +1543,6 @@ impl Factorization {
     /// Forrest–Tomlin updates folded in since the last refactorization.
     pub fn update_count(&self) -> usize {
         self.ft.updates
-    }
-
-    /// The immutable factors (for fill-in / scan-work statistics; used by
-    /// the bench `lu_factor` probe through the `testgen` feature).
-    #[allow(dead_code)]
-    pub fn sparse_lu(&self) -> &SparseLu {
-        &self.lu
     }
 
     /// FTRAN: solves `B·x = v` in place. Set `scratch.rhs_nz` to the

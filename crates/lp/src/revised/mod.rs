@@ -1,9 +1,10 @@
 //! Bounded-variable **revised simplex** with explicit, reusable bases and
 //! persistent factorizations.
 //!
-//! This is the warm-start engine behind the Benders / branch-and-bound hot
-//! path. Where the dense tableau solver (`crate::simplex`) canonicalises
-//! bounds away (mirroring, splitting, internal `≤ ub` rows) and recomputes
+//! This is the crate's LP engine: [`Problem::solve`] runs it cold, and the
+//! Benders / branch-and-bound hot path runs it warm. Where the dense
+//! tableau oracle (`crate::dense`, test builds only) canonicalises bounds
+//! away (mirroring, splitting, internal `≤ ub` rows) and recomputes
 //! everything from scratch per solve, this engine:
 //!
 //! * keeps every variable's box bounds **native** — no extra rows or column
@@ -56,7 +57,7 @@
 //! with `set_bounds` instead.
 //!
 //! The solver's outcomes, dual values, and Farkas certificates follow the
-//! same conventions as the dense engine (see the crate-level docs).
+//! crate-level conventions, which the dense oracle shares.
 //!
 //! ## Threading contract
 //!
@@ -90,14 +91,15 @@ mod engine;
 pub mod gen;
 pub(crate) mod lu;
 
-/// The sparse LU kernel, exposed for benches and cross-check suites (the
-/// bucketed factor, its rescan baseline, the Forrest–Tomlin update wrapper,
-/// and the caller-owned solve scratch).
+/// The LU kernels, exposed for benches and cross-check suites (the
+/// bucketed sparse factor, the Forrest–Tomlin update wrapper, the
+/// caller-owned solve scratch, and two oracles: the rescan factor and the
+/// dense `Lu`).
 #[cfg(any(test, feature = "testgen"))]
-pub use lu::{Factorization, SolveScratch, SparseLu};
+pub use lu::{Factorization, Lu, SolveScratch, SparseLu};
 
 use crate::model::Problem;
-use crate::simplex::{Outcome, SimplexOptions, Solution, SolveError};
+use crate::types::{Outcome, SimplexOptions, Solution, SolveError};
 use canon::Canon;
 pub use engine::Workspace;
 use engine::{DualEnd, Engine, PrimalEnd};
@@ -508,11 +510,6 @@ fn basis_summary(b: &Basis) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Solves `p` cold with the revised engine.
-pub fn solve(p: &Problem, options: &SimplexOptions) -> Result<Outcome, SolveError> {
-    solve_warm(p, None, options).map(|w| w.outcome)
 }
 
 /// Solves `p`, resuming from `warm` when supplied and shape-compatible.

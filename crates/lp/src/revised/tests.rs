@@ -1,7 +1,7 @@
 //! Unit tests and dense-tableau cross-checks for the revised engine.
 
-use crate::revised::{self, Basis, LpStats};
-use crate::simplex::SimplexOptions;
+use crate::revised::{Basis, LpStats};
+use crate::types::SimplexOptions;
 use crate::{Cmp, Farkas, Outcome, Problem, VarId};
 
 fn assert_close(a: f64, b: f64, tol: f64) {
@@ -9,7 +9,12 @@ fn assert_close(a: f64, b: f64, tol: f64) {
 }
 
 fn solve_r(p: &Problem) -> Outcome {
-    revised::solve(p, &SimplexOptions::default()).unwrap()
+    p.solve().unwrap()
+}
+
+/// The dense tableau oracle, cold, under default options.
+fn solve_dense(p: &Problem) -> Outcome {
+    crate::dense::solve(p, &SimplexOptions::default()).unwrap()
 }
 
 // ------------------------------------------------------------ basic solves
@@ -141,7 +146,7 @@ fn degenerate_beale_does_not_cycle() {
         bland_after: 16,
         ..SimplexOptions::default()
     };
-    let s = revised::solve(&p, &opts).unwrap().unwrap_optimal();
+    let s = p.solve_with(&opts).unwrap().unwrap_optimal();
     assert_close(s.objective, -0.05, 1e-7);
 }
 
@@ -564,11 +569,10 @@ fn cross_check_revised_vs_dense_on_200_random_lps() {
     let mut unbounded = 0;
     for case in 0..200 {
         let p = random_lp(&mut rng, &cfg);
-        let dense = p
-            .solve()
+        let dense = crate::dense::solve(&p, &SimplexOptions::default())
             .unwrap_or_else(|e| panic!("case {case}: dense failed: {e}"));
         let revised = p
-            .solve_revised()
+            .solve()
             .unwrap_or_else(|e| panic!("case {case}: revised failed: {e}"));
         match (&dense, &revised) {
             (Outcome::Optimal(a), Outcome::Optimal(b)) => {
@@ -633,7 +637,7 @@ fn cross_check_warm_chains_against_dense() {
             let w = p
                 .solve_warm(basis.as_ref())
                 .unwrap_or_else(|e| panic!("case {case} step {step}: {e}"));
-            let dense = p.solve().unwrap();
+            let dense = solve_dense(&p);
             match (&dense, &w.outcome) {
                 (Outcome::Optimal(a), Outcome::Optimal(b)) => {
                     assert!(
@@ -712,7 +716,7 @@ mod warm_chain_props {
             let mut prev_optimal = false;
             for link in 0..6 {
                 let warm = p.solve_warm(basis.as_ref()).unwrap();
-                let dense = p.solve().unwrap();
+                let dense = solve_dense(&p);
                 match (&dense, &warm.outcome) {
                     (Outcome::Optimal(a), Outcome::Optimal(b)) => {
                         prop_assert!(
@@ -805,7 +809,7 @@ fn candidate_list_pricing_on_wide_lp_matches_dense() {
         p.add_cons(&row, Cmp::Le, rng.uniform(40.0, 80.0));
     }
     let w = p.solve_warm(None).unwrap();
-    let dense = p.solve().unwrap().unwrap_optimal();
+    let dense = solve_dense(&p).unwrap_optimal();
     let s = w.outcome.unwrap_optimal();
     assert!(
         (s.objective - dense.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
@@ -838,7 +842,7 @@ fn randomized_wide_lps_exercise_candidate_list_pricing() {
                 .solve_warm(basis.as_ref())
                 .unwrap_or_else(|e| panic!("case {case} link {link}: {e}"));
             stats.absorb(&w.stats);
-            let dense = p.solve().unwrap();
+            let dense = solve_dense(&p);
             match (&dense, &w.outcome) {
                 (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
                     (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
@@ -889,7 +893,7 @@ fn all_degenerate_dual_steps_fall_back_to_bland() {
         let warm = p
             .solve_warm_with(Some(&first.basis), &opts)
             .unwrap_or_else(|e| panic!("case {case}: warm solve failed: {e}"));
-        let dense = p.solve().unwrap();
+        let dense = solve_dense(&p);
         match (&dense, &warm.outcome) {
             (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
                 (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),

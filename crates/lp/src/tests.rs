@@ -1,10 +1,56 @@
-//! Unit and property tests for the simplex solver.
+//! Unit and property tests for the LP solver, run against every cold
+//! engine: the production entry point and the dense tableau oracle.
 
-use crate::{Cmp, Outcome, Problem, SimplexOptions};
+use crate::{Cmp, Outcome, Problem, SimplexOptions, Solution, SolveError};
 use proptest::prelude::*;
 
-fn assert_close(a: f64, b: f64, tol: f64) {
-    assert!((a - b).abs() <= tol, "expected {b}, got {a} (tol {tol})");
+/// A cold LP entry point.
+type Solve = fn(&Problem, &SimplexOptions) -> Result<Outcome, SolveError>;
+
+/// The engines every test in this battery runs on: what production calls,
+/// and the simple specification it must agree with.
+const ENGINES: [(&str, Solve); 2] = [
+    ("Problem::solve_with", Problem::solve_with),
+    ("dense::solve", crate::dense::solve),
+];
+
+/// Solves `p` cold with every engine under `opts`.
+fn solve_each_with(p: &Problem, opts: &SimplexOptions) -> Vec<(&'static str, Outcome)> {
+    ENGINES
+        .iter()
+        .map(|&(engine, solve)| {
+            let outcome = solve(p, opts).unwrap_or_else(|e| panic!("{engine}: {e}"));
+            (engine, outcome)
+        })
+        .collect()
+}
+
+/// Solves `p` cold with every engine under default options.
+fn solve_each(p: &Problem) -> Vec<(&'static str, Outcome)> {
+    solve_each_with(p, &SimplexOptions::default())
+}
+
+fn assert_close(engine: &str, a: f64, b: f64, tol: f64) {
+    assert!(
+        (a - b).abs() <= tol,
+        "{engine}: expected {b}, got {a} (tol {tol})"
+    );
+}
+
+/// The optimal solution of `outcome`, or a panic naming the engine.
+fn optimal(engine: &str, outcome: Outcome) -> Solution {
+    match outcome {
+        Outcome::Optimal(s) => s,
+        other => panic!("{engine}: expected optimal, got {other:?}"),
+    }
+}
+
+/// Solves `p` cold with every engine; each must report an optimum.
+fn optimal_each(p: &Problem) -> Vec<(&'static str, Solution)> {
+    solve_each(p)
+        .into_iter()
+        .map(|(engine, outcome)| (engine, optimal(engine, outcome)))
+        .collect()
 }
 
 #[test]
@@ -13,28 +59,28 @@ fn trivial_unconstrained_at_bounds() {
     let mut p = Problem::new();
     let x = p.add_var(0.0, 5.0, 2.0);
     let y = p.add_var(0.0, 7.0, -3.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 0.0, 1e-9);
-    assert_close(s.value(y), 7.0, 1e-9);
-    assert_close(s.objective, -21.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 0.0, 1e-9);
+        assert_close(engine, s.value(y), 7.0, 1e-9);
+        assert_close(engine, s.objective, -21.0, 1e-9);
+    }
 }
 
 #[test]
 fn textbook_max_problem() {
-    // Classic: max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 → (2, 6), 36.
+    // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, x + 2y ≤ 18 → (4, 6), 42 (the third
+    // row is slack at the optimum: 4 + 12 = 16).
     let mut p = Problem::new();
     let x = p.add_var(0.0, f64::INFINITY, -3.0);
     let y = p.add_var(0.0, f64::INFINITY, -5.0);
     p.add_cons(&[(x, 1.0)], Cmp::Le, 4.0);
     p.add_cons(&[(y, 2.0)], Cmp::Le, 12.0);
-    let c3 = p.add_cons(&[(x, 1.0), (y, 2.0)], Cmp::Le, 18.0).index();
-    let _ = c3;
-    let s = p.solve().unwrap().unwrap_optimal();
-    // note: third constraint here is x + 2y ≤ 18 variant → optimum (4, 6), -42? Let's check:
-    // max 3x+5y, x≤4, y≤6, x+2y≤18 → x=4,y=6 gives x+2y=16 ≤ 18 ok → 12+30=42.
-    assert_close(s.objective, -42.0, 1e-7);
-    assert_close(s.value(x), 4.0, 1e-7);
-    assert_close(s.value(y), 6.0, 1e-7);
+    p.add_cons(&[(x, 1.0), (y, 2.0)], Cmp::Le, 18.0);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.objective, -42.0, 1e-7);
+        assert_close(engine, s.value(x), 4.0, 1e-7);
+        assert_close(engine, s.value(y), 6.0, 1e-7);
+    }
 }
 
 #[test]
@@ -45,10 +91,11 @@ fn equality_constraint() {
     let y = p.add_var(0.0, f64::INFINITY, 1.0);
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 10.0);
     p.add_cons(&[(x, 1.0), (y, -1.0)], Cmp::Ge, 2.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.objective, 10.0, 1e-7);
-    assert_close(s.value(x) + s.value(y), 10.0, 1e-7);
-    assert!(s.value(x) - s.value(y) >= 2.0 - 1e-7);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.objective, 10.0, 1e-7);
+        assert_close(engine, s.value(x) + s.value(y), 10.0, 1e-7);
+        assert!(s.value(x) - s.value(y) >= 2.0 - 1e-7, "{engine}");
+    }
 }
 
 #[test]
@@ -59,17 +106,18 @@ fn ge_constraints_diet_style() {
     let y = p.add_var(0.0, f64::INFINITY, 1.0);
     let c1 = p.add_cons(&[(x, 10.0), (y, 4.0)], Cmp::Ge, 20.0);
     let c2 = p.add_cons(&[(x, 5.0), (y, 5.0)], Cmp::Ge, 20.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    // Corner points: (4,0) cost 2.4, (0,5) cost 5, (2/3,10/3) cost 3.73… →
-    // optimum is (4, 0).
-    assert_close(s.value(x), 4.0, 1e-6);
-    assert_close(s.value(y), 0.0, 1e-6);
-    assert_close(s.objective, 2.4, 1e-6);
-    // Duals: Ge rows have nonnegative duals; strong duality holds.
-    let d1 = s.dual(c1);
-    let d2 = s.dual(c2);
-    assert!(d1 >= -1e-9 && d2 >= -1e-9);
-    assert_close(d1 * 20.0 + d2 * 20.0, s.objective, 1e-6);
+    for (engine, s) in optimal_each(&p) {
+        // Corner points: (4,0) cost 2.4, (0,5) cost 5, (2/3,10/3) cost 3.73… →
+        // optimum is (4, 0).
+        assert_close(engine, s.value(x), 4.0, 1e-6);
+        assert_close(engine, s.value(y), 0.0, 1e-6);
+        assert_close(engine, s.objective, 2.4, 1e-6);
+        // Duals: Ge rows have nonnegative duals; strong duality holds.
+        let d1 = s.dual(c1);
+        let d2 = s.dual(c2);
+        assert!(d1 >= -1e-9 && d2 >= -1e-9, "{engine}: duals {d1}, {d2}");
+        assert_close(engine, d1 * 20.0 + d2 * 20.0, s.objective, 1e-6);
+    }
 }
 
 #[test]
@@ -78,9 +126,10 @@ fn le_constraint_duals_are_nonpositive_for_min() {
     let mut p = Problem::new();
     let x = p.add_var(0.0, f64::INFINITY, -1.0);
     let c = p.add_cons(&[(x, 1.0)], Cmp::Le, 3.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 3.0, 1e-9);
-    assert_close(s.dual(c), -1.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 3.0, 1e-9);
+        assert_close(engine, s.dual(c), -1.0, 1e-9);
+    }
 }
 
 #[test]
@@ -89,12 +138,14 @@ fn infeasible_simple_with_certificate() {
     let mut p = Problem::new();
     let x = p.add_var(0.0, f64::INFINITY, 1.0);
     p.add_cons(&[(x, 1.0)], Cmp::Le, -1.0);
-    match p.solve().unwrap() {
-        Outcome::Infeasible(f) => {
-            // y ≤ 0 for the ≤ row; y·b = y·(−1) > 0 → y < 0; column: y·1 ≤ 0 ✓.
-            assert!(f.row_multipliers[0] < -1e-9);
+    for (engine, outcome) in solve_each(&p) {
+        match outcome {
+            Outcome::Infeasible(f) => {
+                // y ≤ 0 for the ≤ row; y·b = y·(−1) > 0 → y < 0; column: y·1 ≤ 0 ✓.
+                assert!(f.row_multipliers[0] < -1e-9, "{engine}");
+            }
+            other => panic!("{engine}: expected infeasible, got {other:?}"),
         }
-        other => panic!("expected infeasible, got {other:?}"),
     }
 }
 
@@ -106,20 +157,25 @@ fn infeasible_two_rows_certificate_property() {
     let y = p.add_var(0.0, f64::INFINITY, 0.0);
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 10.0);
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-    match p.solve().unwrap() {
-        Outcome::Infeasible(f) => {
-            let yv = &f.row_multipliers;
-            // Sign conventions.
-            assert!(yv[0] >= -1e-9, "Ge row multiplier must be ≥ 0");
-            assert!(yv[1] <= 1e-9, "Le row multiplier must be ≤ 0");
-            // A'y ≤ 0 per column (both columns identical here).
-            let col = yv[0] + yv[1];
-            assert!(col <= 1e-7, "certificate must price out columns, got {col}");
-            // y'b > 0.
-            let val = yv[0] * 10.0 + yv[1] * 4.0;
-            assert!(val > 1e-7, "certificate must separate, got {val}");
+    for (engine, outcome) in solve_each(&p) {
+        match outcome {
+            Outcome::Infeasible(f) => {
+                let yv = &f.row_multipliers;
+                // Sign conventions.
+                assert!(yv[0] >= -1e-9, "{engine}: Ge row multiplier must be ≥ 0");
+                assert!(yv[1] <= 1e-9, "{engine}: Le row multiplier must be ≤ 0");
+                // A'y ≤ 0 per column (both columns identical here).
+                let col = yv[0] + yv[1];
+                assert!(
+                    col <= 1e-7,
+                    "{engine}: certificate must price out columns, got {col}"
+                );
+                // y'b > 0.
+                let val = yv[0] * 10.0 + yv[1] * 4.0;
+                assert!(val > 1e-7, "{engine}: certificate must separate, got {val}");
+            }
+            other => panic!("{engine}: expected infeasible, got {other:?}"),
         }
-        other => panic!("expected infeasible, got {other:?}"),
     }
 }
 
@@ -130,20 +186,22 @@ fn infeasible_via_upper_bounds() {
     let x = p.add_var(0.0, 2.0, 0.0);
     let y = p.add_var(0.0, 2.0, 0.0);
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 5.0);
-    match p.solve().unwrap() {
-        Outcome::Infeasible(f) => {
-            // Full certificate: row y0 ≥ 0, ub multipliers w ≤ 0, and
-            // y·5 + w_x·2 + w_y·2 > 0 while each column prices out.
-            let yr = f.row_multipliers[0];
-            assert!(yr >= -1e-9);
-            let wx = f.ub_multipliers[0];
-            let wy = f.ub_multipliers[1];
-            assert!(wx <= 1e-9 && wy <= 1e-9);
-            assert!(yr * 5.0 + 2.0 * wx + 2.0 * wy > 1e-7);
-            assert!(yr + wx <= 1e-7);
-            assert!(yr + wy <= 1e-7);
+    for (engine, outcome) in solve_each(&p) {
+        match outcome {
+            Outcome::Infeasible(f) => {
+                // Full certificate: row y0 ≥ 0, ub multipliers w ≤ 0, and
+                // y·5 + w_x·2 + w_y·2 > 0 while each column prices out.
+                let yr = f.row_multipliers[0];
+                assert!(yr >= -1e-9, "{engine}");
+                let wx = f.ub_multipliers[0];
+                let wy = f.ub_multipliers[1];
+                assert!(wx <= 1e-9 && wy <= 1e-9, "{engine}");
+                assert!(yr * 5.0 + 2.0 * wx + 2.0 * wy > 1e-7, "{engine}");
+                assert!(yr + wx <= 1e-7, "{engine}");
+                assert!(yr + wy <= 1e-7, "{engine}");
+            }
+            other => panic!("{engine}: expected infeasible, got {other:?}"),
         }
-        other => panic!("expected infeasible, got {other:?}"),
     }
 }
 
@@ -152,9 +210,11 @@ fn unbounded_detection() {
     // min −x, x ≥ 0 unconstrained above.
     let mut p = Problem::new();
     let _x = p.add_var(0.0, f64::INFINITY, -1.0);
-    match p.solve().unwrap() {
-        Outcome::Unbounded => {}
-        other => panic!("expected unbounded, got {other:?}"),
+    for (engine, outcome) in solve_each(&p) {
+        assert!(
+            matches!(outcome, Outcome::Unbounded),
+            "{engine}: expected unbounded, got {outcome:?}"
+        );
     }
 }
 
@@ -165,9 +225,11 @@ fn unbounded_with_constraints() {
     let x = p.add_var(0.0, f64::INFINITY, -2.0);
     let y = p.add_var(0.0, f64::INFINITY, 1.0);
     p.add_cons(&[(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
-    match p.solve().unwrap() {
-        Outcome::Unbounded => {}
-        other => panic!("expected unbounded, got {other:?}"),
+    for (engine, outcome) in solve_each(&p) {
+        assert!(
+            matches!(outcome, Outcome::Unbounded),
+            "{engine}: expected unbounded, got {outcome:?}"
+        );
     }
 }
 
@@ -177,9 +239,10 @@ fn free_variable_split() {
     let mut p = Problem::new();
     let x = p.add_var(f64::NEG_INFINITY, f64::INFINITY, 1.0);
     p.add_cons(&[(x, 1.0)], Cmp::Ge, -5.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), -5.0, 1e-9);
-    assert_close(s.objective, -5.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), -5.0, 1e-9);
+        assert_close(engine, s.objective, -5.0, 1e-9);
+    }
 }
 
 #[test]
@@ -188,8 +251,10 @@ fn mirrored_variable_only_upper_bound() {
     let mut p = Problem::new();
     let x = p.add_var(f64::NEG_INFINITY, 9.0, -1.0);
     p.add_cons(&[(x, 1.0)], Cmp::Ge, 1.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 9.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 9.0, 1e-9);
+        assert_close(engine, s.objective, -9.0, 1e-9);
+    }
 }
 
 #[test]
@@ -197,9 +262,10 @@ fn shifted_lower_bound() {
     // min x with 3 ≤ x ≤ 10 → 3; objective constant must be accounted.
     let mut p = Problem::new();
     let x = p.add_var(3.0, 10.0, 1.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 3.0, 1e-9);
-    assert_close(s.objective, 3.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 3.0, 1e-9);
+        assert_close(engine, s.objective, 3.0, 1e-9);
+    }
 }
 
 #[test]
@@ -207,8 +273,10 @@ fn negative_lower_bound_shift() {
     // min x, −4 ≤ x ≤ −1 → −4.
     let mut p = Problem::new();
     let x = p.add_var(-4.0, -1.0, 1.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), -4.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), -4.0, 1e-9);
+        assert_close(engine, s.objective, -4.0, 1e-9);
+    }
 }
 
 #[test]
@@ -218,9 +286,11 @@ fn fixed_variable() {
     let x = p.add_var(2.5, 2.5, 1.0);
     let y = p.add_var(0.0, f64::INFINITY, 1.0);
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 2.5, 1e-9);
-    assert_close(s.value(y), 1.5, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 2.5, 1e-9);
+        assert_close(engine, s.value(y), 1.5, 1e-9);
+        assert_close(engine, s.objective, 4.0, 1e-9);
+    }
 }
 
 #[test]
@@ -228,9 +298,10 @@ fn objective_constant_reported() {
     let mut p = Problem::new();
     let x = p.add_var(0.0, 1.0, 1.0);
     p.add_objective_constant(100.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.objective, 100.0, 1e-9);
-    assert_close(s.value(x), 0.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.objective, 100.0, 1e-9);
+        assert_close(engine, s.value(x), 0.0, 1e-9);
+    }
 }
 
 #[test]
@@ -258,8 +329,10 @@ fn degenerate_does_not_cycle() {
         bland_after: 16,
         ..SimplexOptions::default()
     };
-    let s = p.solve_with(&opts).unwrap().unwrap_optimal();
-    assert_close(s.objective, -0.05, 1e-7);
+    for (engine, outcome) in solve_each_with(&p, &opts) {
+        let s = optimal(engine, outcome);
+        assert_close(engine, s.objective, -0.05, 1e-7);
+    }
 }
 
 #[test]
@@ -271,11 +344,12 @@ fn duality_with_equality_rows() {
     let y = p.add_var(0.0, f64::INFINITY, 3.0);
     let ceq = p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 4.0);
     let cge = p.add_cons(&[(x, 1.0)], Cmp::Ge, 1.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.objective, 8.0, 1e-7);
-    // Strong duality over both rows: 4·y_eq + 1·y_ge = 8 with y_ge ≥ 0.
-    assert_close(4.0 * s.dual(ceq) + s.dual(cge), 8.0, 1e-6);
-    assert!(s.dual(cge) >= -1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.objective, 8.0, 1e-7);
+        // Strong duality over both rows: 4·y_eq + 1·y_ge = 8 with y_ge ≥ 0.
+        assert_close(engine, 4.0 * s.dual(ceq) + s.dual(cge), 8.0, 1e-6);
+        assert!(s.dual(cge) >= -1e-9, "{engine}");
+    }
 }
 
 #[test]
@@ -288,8 +362,9 @@ fn redundant_equality_rows() {
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 5.0);
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Eq, 5.0);
     p.add_cons(&[(x, 2.0), (y, 2.0)], Cmp::Eq, 10.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.objective, 5.0, 1e-7);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.objective, 5.0, 1e-7);
+    }
 }
 
 #[test]
@@ -298,8 +373,10 @@ fn duplicate_coefficients_are_summed() {
     let mut p = Problem::new();
     let x = p.add_var(0.0, f64::INFINITY, -1.0);
     p.add_cons(&[(x, 1.0), (x, 1.0)], Cmp::Le, 10.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 5.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 5.0, 1e-9);
+        assert_close(engine, s.objective, -5.0, 1e-9);
+    }
 }
 
 #[test]
@@ -326,29 +403,35 @@ fn transportation_problem() {
     p.add_cons(&[(v[0][0], 1.0), (v[1][0], 1.0)], Cmp::Ge, 10.0);
     p.add_cons(&[(v[0][1], 1.0), (v[1][1], 1.0)], Cmp::Ge, 25.0);
     p.add_cons(&[(v[0][2], 1.0), (v[1][2], 1.0)], Cmp::Ge, 15.0);
-    let s = p.solve().unwrap().unwrap_optimal();
     // Supply 50 = demand 50. Cheapest: plant0 serves market1 (6) up to 20,
     // plant1 serves market0 (9) 10 units, market1 remaining 5 (12), market2 15 (13).
     // obj = 20·6 + 10·9 + 5·12 + 15·13 = 120+90+60+195 = 465.
-    assert_close(s.objective, 465.0, 1e-6);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.objective, 465.0, 1e-6);
+    }
 }
 
 #[test]
 fn set_bounds_resolves() {
     let mut p = Problem::new();
     let x = p.add_var(0.0, 1.0, -1.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 1.0, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 1.0, 1e-9);
+        assert_close(engine, s.objective, -1.0, 1e-9);
+    }
     p.set_bounds(x, 0.0, 0.25);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 0.25, 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 0.25, 1e-9);
+        assert_close(engine, s.objective, -0.25, 1e-9);
+    }
 }
 
 #[test]
 fn empty_problem_is_trivially_optimal() {
     let p = Problem::new();
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.objective, 0.0, 1e-12);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.objective, 0.0, 1e-12);
+    }
 }
 
 #[test]
@@ -356,9 +439,16 @@ fn constraint_with_no_vars_feasible_and_infeasible() {
     let mut p = Problem::new();
     let _x = p.add_var(0.0, 1.0, 1.0);
     p.add_cons(&[], Cmp::Le, 5.0); // 0 ≤ 5 ✓
-    assert!(p.solve().unwrap().is_optimal());
+    for (engine, outcome) in solve_each(&p) {
+        assert!(outcome.is_optimal(), "{engine}: got {outcome:?}");
+    }
     p.add_cons(&[], Cmp::Ge, 5.0); // 0 ≥ 5 ✗
-    assert!(matches!(p.solve().unwrap(), Outcome::Infeasible(_)));
+    for (engine, outcome) in solve_each(&p) {
+        assert!(
+            matches!(outcome, Outcome::Infeasible(_)),
+            "{engine}: got {outcome:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -410,23 +500,34 @@ proptest! {
             &raw_slacks[..nc],
             &raw_objs[..nv],
         );
-        let outcome = p.solve().unwrap();
-        let s = match outcome {
-            Outcome::Optimal(s) => s,
-            other => panic!("constructed-feasible LP reported {other:?}"),
-        };
-        // Primal feasibility.
-        for (i, c) in p.cons.iter().enumerate() {
-            let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
-            prop_assert!(lhs <= c.rhs + 1e-6, "row {i}: {lhs} > {}", c.rhs);
+        let mut objectives = Vec::new();
+        for (engine, s) in optimal_each(&p) {
+            // Primal feasibility.
+            for (i, c) in p.cons.iter().enumerate() {
+                let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
+                prop_assert!(lhs <= c.rhs + 1e-6, "{}: row {}: {} > {}", engine, i, lhs, c.rhs);
+            }
+            for (j, v) in p.vars.iter().enumerate() {
+                prop_assert!(s.x[j] >= v.lb - 1e-7 && s.x[j] <= v.ub + 1e-7, "{}", engine);
+            }
+            // The reported objective is the objective of the reported point.
+            let cx: f64 = p.vars.iter().zip(&s.x).map(|(v, x)| v.obj * x).sum();
+            prop_assert!(
+                (s.objective - cx).abs() <= 1e-6 * (1.0 + cx.abs()),
+                "{}: objective {} but c'x = {}", engine, s.objective, cx
+            );
+            // Sign convention: all rows are ≤ ⇒ all duals ≤ 0.
+            for (i, d) in s.duals.iter().enumerate() {
+                prop_assert!(*d <= 1e-7, "{}: dual {} positive for ≤ row: {}", engine, i, d);
+            }
+            objectives.push(s.objective);
         }
-        for (j, v) in p.vars.iter().enumerate() {
-            prop_assert!(s.x[j] >= v.lb - 1e-7 && s.x[j] <= v.ub + 1e-7);
-        }
-        // Sign convention: all rows are ≤ ⇒ all duals ≤ 0.
-        for (i, d) in s.duals.iter().enumerate() {
-            prop_assert!(*d <= 1e-7, "dual {i} positive for ≤ row: {d}");
-        }
+        // Both engines reach the same optimum.
+        let (a, b) = (objectives[0], objectives[1]);
+        prop_assert!(
+            (a - b).abs() <= 1e-6 * (1.0 + a.abs()),
+            "engines disagree: {} vs {}", a, b
+        );
     }
 
     /// The solver never reports Optimal for a system made infeasible by an
@@ -445,16 +546,18 @@ proptest! {
         // Σ x ≥ nv·ub + excess is impossible.
         let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
         p.add_cons(&row, Cmp::Ge, nv as f64 * ub + excess);
-        match p.solve().unwrap() {
-            Outcome::Infeasible(f) => {
-                let y = f.row_multipliers[0];
-                prop_assert!(y >= -1e-9);
-                // Certificate value: y·b + Σ w_j·ub_j > 0.
-                let val = y * (nv as f64 * ub + excess)
-                    + f.ub_multipliers.iter().sum::<f64>() * ub;
-                prop_assert!(val > 1e-9, "certificate does not separate: {val}");
+        for (engine, outcome) in solve_each(&p) {
+            match outcome {
+                Outcome::Infeasible(f) => {
+                    let y = f.row_multipliers[0];
+                    prop_assert!(y >= -1e-9, "{}", engine);
+                    // Certificate value: y·b + Σ w_j·ub_j > 0.
+                    let val = y * (nv as f64 * ub + excess)
+                        + f.ub_multipliers.iter().sum::<f64>() * ub;
+                    prop_assert!(val > 1e-9, "{}: certificate does not separate: {}", engine, val);
+                }
+                other => panic!("{engine}: expected infeasible, got {other:?}"),
             }
-            other => panic!("expected infeasible, got {other:?}"),
         }
     }
 
@@ -473,12 +576,13 @@ proptest! {
         let y = p.add_var(0.0, 20.0, o2);
         let g = p.add_cons(&[(x, a), (y, b)], Cmp::Ge, -r1);
         let l = p.add_cons(&[(x, c), (y, d)], Cmp::Le, r2);
-        let s = p.solve().unwrap().unwrap_optimal();
-        // With positive costs the optimum is (0,0) and duals are 0 on
-        // inactive rows; either way the duals must respect signs.
-        prop_assert!(s.dual(g) >= -1e-7);
-        prop_assert!(s.dual(l) <= 1e-7);
-        prop_assert!(s.objective >= -1e-7);
+        for (engine, s) in optimal_each(&p) {
+            // With positive costs the optimum is (0,0) and duals are 0 on
+            // inactive rows; either way the duals must respect signs.
+            prop_assert!(s.dual(g) >= -1e-7, "{}", engine);
+            prop_assert!(s.dual(l) <= 1e-7, "{}", engine);
+            prop_assert!(s.objective >= -1e-7, "{}", engine);
+        }
     }
 }
 
@@ -497,13 +601,19 @@ fn moderately_large_dense_lp() {
         let row: Vec<_> = vars.iter().map(|&v| (v, rng.gen_range(0.1..2.0))).collect();
         p.add_cons(&row, Cmp::Le, rng.gen_range(20.0..60.0));
     }
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert!(s.objective < 0.0, "some packing must be possible");
-    // Feasibility of the returned point.
-    for c in &p.cons {
-        let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
-        assert!(lhs <= c.rhs + 1e-6);
+    let mut objectives = Vec::new();
+    for (engine, s) in optimal_each(&p) {
+        assert!(s.objective < 0.0, "{engine}: some packing must be possible");
+        // Feasibility of the returned point.
+        for c in &p.cons {
+            let lhs: f64 = c.coeffs.iter().map(|&(j, a)| a * s.x[j]).sum();
+            assert!(lhs <= c.rhs + 1e-6, "{engine}: row violated");
+        }
+        // The objective is Σ −x_j.
+        assert_close(engine, s.objective, -s.x.iter().sum::<f64>(), 1e-6);
+        objectives.push(s.objective);
     }
+    assert_close("dense vs revised", objectives[0], objectives[1], 1e-6);
 }
 
 #[test]
@@ -515,9 +625,11 @@ fn widely_scaled_coefficients() {
     let y = p.add_var(0.0, f64::INFINITY, -2e-3);
     p.add_cons(&[(x, 1.0), (y, 1.0)], Cmp::Le, 2e5);
     p.add_cons(&[(x, 1.0)], Cmp::Le, 5e4);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(y), 2e5, 1e-3);
-    assert_close(s.value(x), 0.0, 1e-6);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(y), 2e5, 1e-3);
+        assert_close(engine, s.value(x), 0.0, 1e-6);
+        assert_close(engine, s.objective, -400.0, 1e-6);
+    }
 }
 
 #[test]
@@ -527,14 +639,14 @@ fn dual_values_price_capacity() {
     let mut p = Problem::new();
     let x = p.add_var(0.0, f64::INFINITY, -3.0);
     let cap = p.add_cons(&[(x, 1.0)], Cmp::Le, 10.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.dual(cap), -3.0, 1e-9);
     // Relax by 1 and re-solve: objective improves by exactly |dual|.
     let mut p2 = Problem::new();
     let x2 = p2.add_var(0.0, f64::INFINITY, -3.0);
     p2.add_cons(&[(x2, 1.0)], Cmp::Le, 11.0);
-    let s2 = p2.solve().unwrap().unwrap_optimal();
-    assert_close(s2.objective - s.objective, -3.0, 1e-9);
+    for ((engine, s), (_, s2)) in optimal_each(&p).into_iter().zip(optimal_each(&p2)) {
+        assert_close(engine, s.dual(cap), -3.0, 1e-9);
+        assert_close(engine, s2.objective - s.objective, -3.0, 1e-9);
+    }
 }
 
 #[test]
@@ -544,12 +656,14 @@ fn many_redundant_rows() {
     for k in 0..50 {
         p.add_cons(&[(x, 1.0)], Cmp::Le, 5.0 + k as f64); // only the first binds
     }
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 5.0, 1e-9);
-    // Only the binding row carries a nonzero dual.
-    assert!(s.duals[0] < -1e-9);
-    for d in &s.duals[1..] {
-        assert!(d.abs() < 1e-9);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 5.0, 1e-9);
+        assert_close(engine, s.objective, -5.0, 1e-9);
+        // Only the binding row carries a nonzero dual.
+        assert!(s.duals[0] < -1e-9, "{engine}");
+        for d in &s.duals[1..] {
+            assert!(d.abs() < 1e-9, "{engine}");
+        }
     }
 }
 
@@ -562,7 +676,9 @@ fn equality_system_exact_solve() {
     let y = p.add_var(f64::NEG_INFINITY, f64::INFINITY, -1.0);
     p.add_cons(&[(x, 2.0), (y, 1.0)], Cmp::Eq, 5.0);
     p.add_cons(&[(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
-    let s = p.solve().unwrap().unwrap_optimal();
-    assert_close(s.value(x), 2.0, 1e-7);
-    assert_close(s.value(y), 1.0, 1e-7);
+    for (engine, s) in optimal_each(&p) {
+        assert_close(engine, s.value(x), 2.0, 1e-7);
+        assert_close(engine, s.value(y), 1.0, 1e-7);
+        assert_close(engine, s.objective, 1.0, 1e-7);
+    }
 }

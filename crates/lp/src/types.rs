@@ -1,0 +1,235 @@
+//! Solver options, outcomes and errors.
+//!
+//! Shared by the production engine ([`crate::revised`]) and, in test
+//! builds, the dense tableau oracle (`crate::dense`): both read the same
+//! [`SimplexOptions`] and report through the same [`Outcome`], so the
+//! differential tests compare like with like.
+
+/// Tunable solver options.
+#[derive(Debug, Clone)]
+pub struct SimplexOptions {
+    /// Hard cap on total pivots across both phases.
+    pub max_iterations: usize,
+    /// Switch from Dantzig to Bland pricing after this many pivots (guards
+    /// against cycling on degenerate problems). The counter is **per phase**:
+    /// phase 1, phase 2, and (in the revised engine) each dual-simplex pass
+    /// each get a fresh `bland_after` budget of Dantzig pivots.
+    pub bland_after: usize,
+    /// Tie window for the primal and dual ratio tests (revised engine):
+    /// candidates whose ratio lies within this of the best are considered
+    /// tied, and the tie is broken by pivot magnitude (or least index under
+    /// Bland's rule). One tolerance, applied consistently in both tests.
+    pub ratio_tie_tol: f64,
+    /// Long-step dual ratio test threshold (revised engine): a breakpoint
+    /// column is flipped through — instead of entering — only when its flip
+    /// capacity `|α_j|·(ub_j − lb_j)` exceeds this *and* leaves at least this
+    /// much primal violation for the eventual entering pivot. Guards against
+    /// churning on bound ranges that are numerically zero.
+    pub flip_tol: f64,
+    /// Seeded warm-path fault injection (revised engine; chaos testing).
+    /// Defaults to [`FaultConfig::from_env`] — `None` unless the
+    /// `OVNES_LP_FAULT_SEED` environment variable is set.
+    pub fault: Option<FaultConfig>,
+    /// Refactorize after this many Forrest–Tomlin updates have been folded
+    /// into the basis factorization (revised engine). Compressed updates
+    /// keep FTRAN/BTRAN cost flat as the count grows, so the default sits
+    /// well past the old product-form eta limit of 64; lower it to bound
+    /// numerical drift on ill-conditioned bases. Defaults to
+    /// [`default_refactor_interval`] — the `OVNES_LP_REFACTOR_INTERVAL`
+    /// environment variable, or 128 when unset.
+    pub refactor_interval: usize,
+}
+
+impl Default for SimplexOptions {
+    fn default() -> Self {
+        Self {
+            max_iterations: 200_000,
+            bland_after: 10_000,
+            ratio_tie_tol: 1e-10,
+            flip_tol: 1e-9,
+            fault: FaultConfig::from_env(),
+            refactor_interval: default_refactor_interval(),
+        }
+    }
+}
+
+/// The ambient refactorization interval: the `OVNES_LP_REFACTOR_INTERVAL`
+/// environment variable (clamped to ≥ 1), or 128 when unset or unparsable.
+/// Read once per process.
+pub fn default_refactor_interval() -> usize {
+    use std::sync::OnceLock;
+    static ENV: OnceLock<usize> = OnceLock::new();
+    *ENV.get_or_init(|| {
+        std::env::var("OVNES_LP_REFACTOR_INTERVAL")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .map(|v| v.max(1))
+            .unwrap_or(128)
+    })
+}
+
+/// Seeded fault injection on the warm-start path of the revised engine.
+///
+/// Faults never change a solve's *result* — they discard warm state
+/// (basis, persisted factorization) or corrupt the basic set into a
+/// singular matrix, forcing the engine through its cold-restart /
+/// refactorization recovery paths. Every roll is a pure function of
+/// `(seed, constraint-matrix fingerprint, basis summary)`, never of
+/// thread identity or wall clock, so injected faults are **bit-identical
+/// at any worker count** and across runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultConfig {
+    /// Seed mixed into every roll.
+    pub seed: u64,
+    /// Probability a supplied warm basis is silently dropped (the solve
+    /// runs cold, exercising the `cold_starts` path).
+    pub drop_basis: f64,
+    /// Probability the persisted factorization is discarded (the warm
+    /// basis is kept but must refactorize from scratch).
+    pub drop_factorization: f64,
+    /// Probability the adapted basic set is corrupted with a duplicated
+    /// column — a singular basis matrix, driving the engine through its
+    /// singular-basis cold-restart fallback.
+    pub corrupt_basis: f64,
+}
+
+impl FaultConfig {
+    /// The default chaos profile for a seed: all three fault classes armed
+    /// at moderate rates.
+    pub fn chaos(seed: u64) -> Self {
+        Self {
+            seed,
+            drop_basis: 0.20,
+            drop_factorization: 0.30,
+            corrupt_basis: 0.15,
+        }
+    }
+
+    /// The ambient fault config: [`FaultConfig::chaos`] seeded from the
+    /// `OVNES_LP_FAULT_SEED` environment variable, or `None` when unset
+    /// (the production default). Read once per process.
+    pub fn from_env() -> Option<Self> {
+        use std::sync::OnceLock;
+        static ENV: OnceLock<Option<u64>> = OnceLock::new();
+        ENV.get_or_init(|| {
+            std::env::var("OVNES_LP_FAULT_SEED")
+                .ok()
+                .and_then(|v| v.parse().ok())
+        })
+        .map(FaultConfig::chaos)
+    }
+
+    /// Deterministic roll in `[0, 1)` from the seed, a solve fingerprint,
+    /// a basis summary, and a per-decision salt (splitmix64 finalizer).
+    pub fn roll(&self, fingerprint: u64, summary: u64, salt: u64) -> f64 {
+        let mut z = self
+            .seed
+            .wrapping_add(fingerprint.rotate_left(17))
+            .wrapping_add(summary.rotate_left(31))
+            .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Whether ambient (environment-driven) LP fault injection is armed for
+/// this process. Tests that assert exact pivot/refactorization counters
+/// gate on this: under injection the *results* still hold, but the warm
+/// path's statistics intentionally do not.
+pub fn fault_injection_active() -> bool {
+    FaultConfig::from_env().is_some()
+}
+
+/// Terminal failures (distinct from well-defined outcomes).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SolveError {
+    /// The pivot limit was exhausted before reaching optimality.
+    IterationLimit,
+    /// The factorized basis degraded beyond repair (revised engine only);
+    /// re-solving cold or loosening tolerances is the caller's recourse.
+    Numerical,
+}
+
+impl std::fmt::Display for SolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolveError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
+            SolveError::Numerical => write!(f, "simplex basis factorization failed"),
+        }
+    }
+}
+
+impl std::error::Error for SolveError {}
+
+/// An optimal solution: primal values, objective, and constraint duals.
+#[derive(Debug, Clone)]
+pub struct Solution {
+    /// Objective value including any constant added to the problem.
+    pub objective: f64,
+    /// Primal value per variable, indexed by [`VarId::index`](crate::VarId::index).
+    pub x: Vec<f64>,
+    /// Dual value per user constraint (see crate-level sign conventions).
+    pub duals: Vec<f64>,
+}
+
+impl Solution {
+    /// Value of a variable in the optimal solution.
+    pub fn value(&self, var: crate::VarId) -> f64 {
+        self.x[var.index()]
+    }
+
+    /// Dual value of a constraint in the optimal solution.
+    pub fn dual(&self, cons: crate::ConsId) -> f64 {
+        self.duals[cons.index()]
+    }
+}
+
+/// A Farkas certificate of primal infeasibility.
+///
+/// Letting `y = row_multipliers` (one entry per user constraint) and `w =
+/// ub_multipliers` (one entry per variable, nonzero only for variables with a
+/// finite upper bound), the certificate satisfies, within numeric tolerance:
+///
+/// * sign conventions: `y_i ≤ 0` for `≤` rows, `y_i ≥ 0` for `≥` rows,
+///   `w_j ≤ 0`;
+/// * `Σ_i y_i a_{ij} + w_j ≤ 0` for every variable `j` with lower bound 0;
+/// * `Σ_i y_i b_i + Σ_j w_j ub_j > 0`.
+///
+/// Together these are contradictory for any feasible point, proving the
+/// system infeasible. Benders feasibility cuts are built directly from `y`.
+#[derive(Debug, Clone)]
+pub struct Farkas {
+    /// Multiplier per user constraint.
+    pub row_multipliers: Vec<f64>,
+    /// Multiplier per variable upper bound (0.0 where the bound is infinite).
+    pub ub_multipliers: Vec<f64>,
+}
+
+/// Well-defined solve outcomes.
+#[derive(Debug, Clone)]
+pub enum Outcome {
+    /// An optimal solution was found.
+    Optimal(Solution),
+    /// The constraints admit no solution; a Farkas certificate is attached.
+    Infeasible(Farkas),
+    /// The objective is unbounded below over the feasible region.
+    Unbounded,
+}
+
+impl Outcome {
+    /// Convenience accessor; panics unless the outcome is `Optimal`.
+    pub fn unwrap_optimal(self) -> Solution {
+        match self {
+            Outcome::Optimal(s) => s,
+            Outcome::Infeasible(_) => panic!("LP infeasible, expected optimal"),
+            Outcome::Unbounded => panic!("LP unbounded, expected optimal"),
+        }
+    }
+
+    /// True if the outcome is `Optimal`.
+    pub fn is_optimal(&self) -> bool {
+        matches!(self, Outcome::Optimal(_))
+    }
+}

@@ -414,20 +414,6 @@ impl Milp {
         self.options = options;
     }
 
-    /// Sets only the worker-thread count (a convenience for callers
-    /// threading the orchestration-level knob through).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.options.threads = threads.max(1);
-    }
-
-    /// Pins the nodes-per-round window to a fixed width (see
-    /// [`MilpOptions::round_width`]). Callers that fingerprint solver
-    /// telemetry pin this so results never depend on the ambient
-    /// `OVNES_MILP_ROUND_WIDTH` or the adaptive policy.
-    pub fn set_round_width(&mut self, round_width: usize) {
-        self.options.round_width = Some(round_width.max(1));
-    }
-
     /// Provides a known feasible objective value to prune against from the
     /// start (warm start). The bound must come from a genuinely feasible
     /// integral point or the optimum may be pruned away.

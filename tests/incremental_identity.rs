@@ -252,11 +252,10 @@ fn benders_carried_chain_matches_scratch_objectives() {
     assert!(!cuts.is_empty(), "the chain never pooled a cut");
 }
 
-/// The incumbent-seeded one-shot MILP through the public EpochSolver API:
-/// a two-epoch no-churn chain with the exact `OneShot` solver must agree
-/// bit-for-bit with plain `solve_controlled` on both epochs (the MILP
-/// optimum is unique-vertex here, and the seeded cutoff must never prune
-/// it away).
+/// The one-shot MILP through the public EpochSolver API: it carries
+/// nothing across epochs, so a two-epoch no-churn chain with the exact
+/// `OneShot` solver must agree bit-for-bit with plain `solve_controlled`
+/// on both epochs.
 #[test]
 fn epoch_solver_oneshot_matches_scratch() {
     use ovnes::solver::epoch::EpochSolver;

@@ -6,9 +6,9 @@
 
 use ovnes::problem::{AcrrInstance, PathPolicy, TenantInput};
 use ovnes::slice::{SliceClass, SliceTemplate};
-use ovnes::solver::{baseline, benders, kac, oneshot, solve_threaded, SolverKind};
+use ovnes::solver::{baseline, benders, kac, oneshot, solve_budgeted, SolveControls, SolverKind};
 use ovnes_lp::revised::gen::{random_bound_edit, random_lp, GenRng, LpGenConfig};
-use ovnes_lp::{Basis, LpStats, Outcome};
+use ovnes_lp::{Basis, LpStats, Outcome, SimplexOptions};
 use ovnes_milp::{Milp, MilpOptions, MilpOutcome};
 use ovnes_topology::operators::{GeneratorConfig, NetworkModel, Operator};
 
@@ -131,7 +131,8 @@ fn randomized_lp_torture_warm_chains_match_dense_oracle() {
                 .solve_warm(basis.as_ref())
                 .unwrap_or_else(|e| panic!("{tag}: warm solve failed: {e}"));
             stats.absorb(&warm.stats);
-            let dense = p.solve().unwrap_or_else(|e| panic!("{tag}: dense: {e}"));
+            let dense = ovnes_lp::dense::solve(&p, &SimplexOptions::default())
+                .unwrap_or_else(|e| panic!("{tag}: dense: {e}"));
             match (&dense, &warm.outcome) {
                 (Outcome::Optimal(a), Outcome::Optimal(b)) => assert!(
                     (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
@@ -300,9 +301,17 @@ fn parallel_acrr_solvers_match_serial_admissions() {
         let tenants = tenants_on(&model, &specs);
         let inst = AcrrInstance::build(&model, tenants, PathPolicy::Spread, true, None);
         for kind in [SolverKind::OneShot, SolverKind::Benders] {
-            let serial = solve_threaded(&inst, kind, 1).unwrap();
+            let solve = |threads| {
+                let controls = SolveControls {
+                    kind,
+                    threads,
+                    ..Default::default()
+                };
+                solve_budgeted(&inst, &controls).unwrap()
+            };
+            let serial = solve(1);
             for threads in [2usize, 4] {
-                let par = solve_threaded(&inst, kind, threads).unwrap();
+                let par = solve(threads);
                 assert_eq!(
                     serial.objective.to_bits(),
                     par.objective.to_bits(),
